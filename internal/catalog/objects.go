@@ -181,6 +181,23 @@ func (c *Catalog) GetObjects(oids []storage.OID) ([]object.Value, []string, erro
 	return vals, names, nil
 }
 
+// PreloadObjects pins, into p, the pages GetObjects(oids) would read: the
+// records the object cache does not hold, in the store's FetchBatch page
+// order. The parallel executor calls it under its task-claim lock so each
+// disk is charged in task order (see storage.Preload).
+func (c *Catalog) PreloadObjects(p *storage.Preload, oids []storage.OID) error {
+	if c.ocache != nil {
+		miss := make([]storage.OID, 0, len(oids))
+		for _, oid := range oids {
+			if !c.ocache.Contains(oid) {
+				miss = append(miss, oid)
+			}
+		}
+		oids = miss
+	}
+	return c.store.PreloadBatch(p, oids)
+}
+
 // Resolver returns an object.Resolver over this catalog for deep equality.
 func (c *Catalog) Resolver() object.Resolver {
 	return func(oid storage.OID) (object.Value, error) {

@@ -40,13 +40,13 @@ type ExtentCursor struct {
 	// Per-class rotation state: the extent being scanned, each part's next
 	// chain page (0 = exhausted), the part currently being read and the
 	// pages left in its run.
-	ext       *storage.Extent
-	partPids  []storage.PageID
-	live      int // parts not yet exhausted
-	part      int
-	runLeft   int
-	buf       []scanned
-	bi        int
+	ext      *storage.Extent
+	partPids []storage.PageID
+	live     int // parts not yet exhausted
+	part     int
+	runLeft  int
+	buf      []scanned
+	bi       int
 }
 
 type scanned struct {
@@ -256,6 +256,12 @@ func (c *Catalog) ExtentMorsels(class string, minus []string, closure bool, page
 		}
 	}
 	return morsels, nil
+}
+
+// PreloadMorsel pins, into p, the morsel's pages in chain order: the pages
+// ReadMorsel reads (see storage.Preload).
+func (c *Catalog) PreloadMorsel(p *storage.Preload, m *ExtentMorsel) error {
+	return c.store.PreloadPart(p, m.Part, m.Pages)
 }
 
 // ReadMorsel reads and decodes the objects of one morsel. It is safe to

@@ -29,8 +29,11 @@ import (
 //
 // On the simulated disk the win is latency hiding, not CPU parallelism:
 // with DiskSim latency emulation enabled, concurrent workers overlap their
-// per-page sleeps, so wall-clock time shrinks while the simulated page
-// accounting (atomic, commutative) stays exactly equal to the serial plan's.
+// per-page sleeps, so wall-clock time shrinks. Simulated time must not move
+// with the schedule, yet a disk prices each read by the read before it
+// (sequential or a new positioning). So every operator names each task's
+// pages, and a worker loads them — charged, not yet slept — while it holds
+// the claim lock: each disk sees the reads in task order, as with one worker.
 
 // exchangeMorselPages is the morsel size for parallel extent scans: how many
 // consecutive chain-order pages one scan task covers. Small enough that a
@@ -77,7 +80,9 @@ type exchangeCore struct {
 
 	ntasks    int
 	newWorker func(ws *WorkerStat) func(task int) ([]algebra.Row, error)
-	next      atomic.Int64
+	preload   func(task int, p *storage.Preload) error // pins one task's pages
+	claimMu   sync.Mutex                               // serializes claim + preload
+	next      int                                      // next task to claim; guarded by claimMu
 	stop      atomic.Bool
 	results   chan taskResult
 	wg        sync.WaitGroup
@@ -102,7 +107,8 @@ func exchangeWorkers(n int) int {
 	return n
 }
 
-// start registers the task set. newWorker is called once per worker and
+// start registers the task set. preload pins a task's pages into the given
+// Preload (see claim). newWorker is called once per worker and
 // returns the worker's task function, so per-worker state (each worker's
 // RowEvaluator — evaluators reuse one expression environment and are not
 // shareable across goroutines) is created exactly once. In eager mode the
@@ -110,8 +116,10 @@ func exchangeWorkers(n int) int {
 // mode launch is deferred to the first Next, so no work happens before the
 // consumer demands a row (and instrumentation around Open measures only the
 // serial setup: morsel discovery, index probes, join builds).
-func (c *exchangeCore) start(ntasks int, newWorker func(ws *WorkerStat) func(task int) ([]algebra.Row, error)) error {
+func (c *exchangeCore) start(ntasks int, preload func(task int, p *storage.Preload) error,
+	newWorker func(ws *WorkerStat) func(task int) ([]algebra.Row, error)) error {
 	c.ntasks = ntasks
+	c.preload = preload
 	c.newWorker = newWorker
 	c.buf = make(map[int][]algebra.Row)
 	c.started = true
@@ -122,9 +130,11 @@ func (c *exchangeCore) start(ntasks int, newWorker func(ws *WorkerStat) func(tas
 	return nil
 }
 
-// launch spawns the worker goroutines. Workers claim tasks through the
-// shared atomic counter, so claim order equals task order and the merge
-// buffer stays bounded by the worker count.
+// launch spawns the worker goroutines. Workers claim tasks in task order,
+// so the merge buffer stays bounded by the worker count. After a claim the
+// worker sleeps off the latency its task's preloaded reads owe — outside the
+// claim lock, so workers overlap their waits — runs the task against the
+// pinned pages, and releases them.
 func (c *exchangeCore) launch() {
 	if c.launched {
 		return
@@ -144,12 +154,20 @@ func (c *exchangeCore) launch() {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
+			var pl storage.Preload
 			for !c.stop.Load() {
-				t := int(c.next.Add(1)) - 1
+				t, err := c.claim(&pl)
 				if t >= c.ntasks {
 					return
 				}
-				rows, err := run(t)
+				var rows []algebra.Row
+				if err == nil {
+					pl.Wait()
+					rows, err = run(t)
+				}
+				if rerr := pl.Release(); err == nil {
+					err = rerr
+				}
 				// The channel holds every task's result, so this send
 				// never blocks and Close never deadlocks a worker.
 				c.results <- taskResult{seq: t, rows: rows, err: err}
@@ -160,6 +178,23 @@ func (c *exchangeCore) launch() {
 			}
 		}()
 	}
+}
+
+// claim takes the next task number and pins that task's pages into p before the claim lock drops. Disk reads are therefore
+// charged task by task in task order whatever the goroutine schedule, and
+// simulated time — whose random/sequential split depends on read order —
+// equals a one-worker run's. Reads a task makes beyond the pages it names
+// (overflow chains, references chased by a predicate) are charged when the
+// task makes them. Returns ntasks when none are left.
+func (c *exchangeCore) claim(p *storage.Preload) (int, error) {
+	c.claimMu.Lock()
+	defer c.claimMu.Unlock()
+	t := c.next
+	if t >= c.ntasks {
+		return t, nil
+	}
+	c.next++
+	return t, c.preload(t, p)
 }
 
 // drainEager collects every task's result before returning, so an analyzed
@@ -309,9 +344,9 @@ type exchangeScanOp struct {
 	varName string
 	minus   []string
 	closure bool
-	pred    expr.Expr                // nil for a bare BIND
-	funcs   *funcmgr.QueryRegistry   // nil in row mode: interpret
-	predFn  expr.PredFn              // self-mode compiled predicate, shared read-only by workers
+	pred    expr.Expr              // nil for a bare BIND
+	funcs   *funcmgr.QueryRegistry // nil in row mode: interpret
+	predFn  expr.PredFn            // self-mode compiled predicate, shared read-only by workers
 }
 
 func (o *exchangeScanOp) Open() error {
@@ -323,7 +358,8 @@ func (o *exchangeScanOp) Open() error {
 		o.predFn, _ = o.funcs.Predicate(o.varName, o.pred)
 	}
 	resolve := o.alg.Cat.Resolver()
-	return o.core.start(len(morsels), func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
+	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadMorsel(p, &morsels[t]) }
+	return o.core.start(len(morsels), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
 		re := o.alg.NewRowEvaluator()
 		return func(t int) ([]algebra.Row, error) {
 			m := &morsels[t]
@@ -390,7 +426,8 @@ func (o *exchangeIndSelOp) Open() error {
 	}
 	recheck := o.alg.RecheckExpr(o.varName, o.pred)
 	chunks := chunkOIDs(oids, exchangeOIDChunk)
-	return o.core.start(len(chunks), func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
+	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) }
+	return o.core.start(len(chunks), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
 		re := o.alg.NewRowEvaluator()
 		return func(t int) ([]algebra.Row, error) {
 			// One page-ordered batch fetch per chunk: the chunk's OIDs
@@ -465,18 +502,23 @@ func (o *exchangeHashJoinOp) Open() error {
 		refs = append(refs, ref)
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+	// Only refs the right side holds are dereferenced (as in the serial
+	// probe); each chunk's survivors resolve through one page-ordered batch
+	// fetch.
 	chunks := chunkOIDs(refs, exchangeOIDChunk)
-	return o.core.start(len(chunks), func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
-		return func(t int) ([]algebra.Row, error) {
-			// Only refs the right side holds are dereferenced (as in the
-			// serial probe); the chunk's survivors resolve through one
-			// page-ordered batch fetch.
-			hits := make([]storage.OID, 0, len(chunks[t]))
-			for _, ref := range chunks[t] {
-				if _, hit := rightBy[ref]; hit {
-					hits = append(hits, ref)
-				}
+	for i, chunk := range chunks {
+		hits := make([]storage.OID, 0, len(chunk))
+		for _, ref := range chunk {
+			if _, hit := rightBy[ref]; hit {
+				hits = append(hits, ref)
 			}
+		}
+		chunks[i] = hits
+	}
+	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) }
+	return o.core.start(len(chunks), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
+		return func(t int) ([]algebra.Row, error) {
+			hits := chunks[t]
 			vals, _, err := o.alg.Cat.GetObjects(hits)
 			if err != nil {
 				return nil, err

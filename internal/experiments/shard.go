@@ -231,6 +231,12 @@ func buildShardBenchDB(nshards, items, owners int) (*kernel.DB, error) {
 // its counters reset with latency enabled, so the measured Next loop covers
 // exactly the parallel phase and its page reads are first touches.
 func measureShardQuery(name string, nshards, items, owners int, latency time.Duration, plan func() optimizer.Plan) (ShardQueryEntry, error) {
+	return measureShardQueryWorkers(name, nshards, shardBenchWorkers, items, owners, latency, plan)
+}
+
+// measureShardQueryWorkers is measureShardQuery at an explicit exchange
+// degree.
+func measureShardQueryWorkers(name string, nshards, workers, items, owners int, latency time.Duration, plan func() optimizer.Plan) (ShardQueryEntry, error) {
 	var e ShardQueryEntry
 	db, err := buildShardBenchDB(nshards, items, owners)
 	if err != nil {
@@ -239,7 +245,7 @@ func measureShardQuery(name string, nshards, items, owners int, latency time.Dur
 	defer db.Close()
 
 	ex := exec.New(algebra.New(db.Cat))
-	op, err := ex.Compile(&optimizer.ExchangePlan{Input: plan(), Workers: shardBenchWorkers})
+	op, err := ex.Compile(&optimizer.ExchangePlan{Input: plan(), Workers: workers})
 	if err != nil {
 		return e, err
 	}
@@ -364,6 +370,30 @@ func measureShardCommits(nshards int, syncDelay time.Duration) (ShardCommitEntry
 	return e, nil
 }
 
+// shardBenches are the query workloads MeasureShard sweeps.
+var shardBenches = []struct {
+	name string
+	plan func() optimizer.Plan
+}{
+	// Full extent scan: page-range morsels interleaved across parts.
+	{"shard-scan-BenchItem", func() optimizer.Plan {
+		return &optimizer.BindPlan{Class: "BenchItem", Var: "b"}
+	}},
+	// Hash-partition join probe: the build drains run serially inside
+	// Open and are excluded; the measured phase is the probe's object
+	// fetches fanning out across the owner extent's shards.
+	{"shard-hash-join-probe", func() optimizer.Plan {
+		return &optimizer.JoinPlan{
+			Left:      &optimizer.BindPlan{Class: "BenchItem", Var: "b"},
+			Right:     &optimizer.BindPlan{Class: "BenchOwner", Var: "o"},
+			Method:    cost.HashPartition,
+			LeftVar:   "b",
+			Attribute: "owner",
+			RightVar:  "o",
+		}
+	}},
+}
+
 // MeasureShard runs the sharded-store sweep: a full BenchItem extent scan
 // and a hash-partition join probe at shards=1/2/4 (read totals must match
 // across shard counts), then the insert+update commit-throughput workload
@@ -400,29 +430,7 @@ func MeasureShard(latency, syncDelay time.Duration) (*BenchShard, error) {
 		SyncDelayMs:       float64(syncDelay) / float64(time.Millisecond),
 	}
 
-	benches := []struct {
-		name string
-		plan func() optimizer.Plan
-	}{
-		// Full extent scan: page-range morsels interleaved across parts.
-		{"shard-scan-BenchItem", func() optimizer.Plan {
-			return &optimizer.BindPlan{Class: "BenchItem", Var: "b"}
-		}},
-		// Hash-partition join probe: the build drains run serially inside
-		// Open and are excluded; the measured phase is the probe's object
-		// fetches fanning out across the owner extent's shards.
-		{"shard-hash-join-probe", func() optimizer.Plan {
-			return &optimizer.JoinPlan{
-				Left:      &optimizer.BindPlan{Class: "BenchItem", Var: "b"},
-				Right:     &optimizer.BindPlan{Class: "BenchOwner", Var: "o"},
-				Method:    cost.HashPartition,
-				LeftVar:   "b",
-				Attribute: "owner",
-				RightVar:  "o",
-			}
-		}},
-	}
-	for _, b := range benches {
+	for _, b := range shardBenches {
 		var base ShardQueryEntry
 		for _, n := range ShardCounts {
 			e, err := measureShardQuery(b.name, n, items, owners, latency, b.plan)

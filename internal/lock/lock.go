@@ -108,12 +108,23 @@ type lockQueue struct {
 	queue []*request
 }
 
+// wait is a blocked acquisition: the request and the mode it waits for.
+// The cycle check asks conflict for the request's blocker at check time
+// instead of remembering the blocker seen when the wait began — that one
+// may since have released, and following such a stale edge reports
+// deadlocks that do not exist.
+type wait struct {
+	lq   *lockQueue
+	req  *request
+	want Mode
+}
+
 // Manager is the lock manager.
 type Manager struct {
 	mu      sync.Mutex
 	locks   map[Resource]*lockQueue
 	held    map[TxID]map[Resource]Mode
-	waits   map[TxID]TxID // waiter -> one blocking holder (for cycle checks)
+	waits   map[TxID]wait // blocked transactions, for cycle checks
 	timeout time.Duration
 
 	acquisitions int64
@@ -127,7 +138,7 @@ func NewManager(timeout time.Duration) *Manager {
 	return &Manager{
 		locks:   make(map[Resource]*lockQueue),
 		held:    make(map[TxID]map[Resource]Mode),
-		waits:   make(map[TxID]TxID),
+		waits:   make(map[TxID]wait),
 		timeout: timeout,
 	}
 }
@@ -203,10 +214,14 @@ func (m *Manager) Acquire(tx TxID, res Resource, mode Mode) error {
 			m.held[tx][res] = want
 			return nil
 		} else {
-			m.waits[tx] = blocker
-			if m.cycleFrom(tx) {
+			m.waits[tx] = wait{lq: lq, req: req, want: want}
+			if m.cycleFrom(tx, blocker) {
 				m.deadlocks++
 				delete(m.waits, tx)
+				if isUpgrade {
+					// The upgrade is refused but the original grant stands.
+					return fmt.Errorf("%w: tx %d upgrading %s", ErrDeadlock, tx, res)
+				}
 				m.removeRequest(lq, req, res)
 				return fmt.Errorf("%w: tx %d on %s", ErrDeadlock, tx, res)
 			}
@@ -262,25 +277,25 @@ func (m *Manager) conflict(lq *lockQueue, req *request, want Mode) TxID {
 	return 0
 }
 
-// cycleFrom reports whether following waits-for edges from tx returns to tx.
-// Caller holds m.mu.
-func (m *Manager) cycleFrom(tx TxID) bool {
+// cycleFrom reports whether following waits-for edges from tx, whose
+// current blocker is first, returns to tx. Each edge is the blocked
+// request's blocker as of now. Caller holds m.mu.
+func (m *Manager) cycleFrom(tx, first TxID) bool {
 	seen := map[TxID]bool{}
-	cur := tx
-	for {
-		next, ok := m.waits[cur]
-		if !ok {
-			return false
-		}
-		if next == tx {
-			return true
-		}
+	for next := first; next != tx; {
 		if seen[next] {
 			return false
 		}
 		seen[next] = true
-		cur = next
+		w, ok := m.waits[next]
+		if !ok {
+			return false
+		}
+		if next = m.conflict(w.lq, w.req, w.want); next == 0 {
+			return false
+		}
 	}
+	return true
 }
 
 func (m *Manager) removeRequest(lq *lockQueue, req *request, res Resource) {

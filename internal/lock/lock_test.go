@@ -117,6 +117,36 @@ func TestUpgradeBlocksOnOtherReader(t *testing.T) {
 	m.ReleaseAll(1)
 }
 
+// TestUpgradeDeadlockKeepsGrant covers the classic upgrade deadlock: two
+// readers both ask for X. The second is the victim; its refused upgrade
+// must leave its S grant standing, so the other upgrade still waits until
+// the victim releases.
+func TestUpgradeDeadlockKeepsGrant(t *testing.T) {
+	m := NewManager(0)
+	res := FileResource("f")
+	m.Acquire(1, res, ModeS)
+	m.Acquire(2, res, ModeS)
+	upgraded := make(chan error, 1)
+	go func() { upgraded <- m.Acquire(1, res, ModeX) }()
+	time.Sleep(20 * time.Millisecond)
+	if err := m.Acquire(2, res, ModeX); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("second upgrade: %v, want deadlock", err)
+	}
+	if mode := m.HeldMode(2, res); mode != ModeS {
+		t.Fatalf("victim holds %s after its refused upgrade, want S", mode)
+	}
+	select {
+	case err := <-upgraded:
+		t.Fatalf("upgrade granted (%v) while the victim still holds S", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.ReleaseAll(2)
+	if err := <-upgraded; err != nil {
+		t.Fatalf("upgrade after the victim released: %v", err)
+	}
+	m.ReleaseAll(1)
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	m := NewManager(0)
 	a, b := FileResource("a"), FileResource("b")

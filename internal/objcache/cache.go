@@ -161,6 +161,17 @@ func (c *Cache) GetScan(oid storage.OID) (*object.Value, string, bool) {
 	return &e.val, e.class, true
 }
 
+// Contains reports whether oid is cached, without promoting the entry or
+// counting a hit or miss: a lookahead that only plans which records a later
+// Get will miss.
+func (c *Cache) Contains(oid storage.OID) bool {
+	sh := c.shard(oid)
+	sh.mu.RLock()
+	_, ok := sh.table[oid]
+	sh.mu.RUnlock()
+	return ok
+}
+
 // GetScanBatch is GetScan over a page's worth of OIDs at once: vals[i] is
 // set to the cached value pointer for oids[i], or nil on a miss. Every
 // touched shard is read-locked at most once for the whole batch — one lock

@@ -201,6 +201,20 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 // page waits on the frame's loading latch rather than observing a partially
 // filled buffer.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+	buf, _, err := bp.pin(id, true, false)
+	if err != nil {
+		return nil, err
+	}
+	return NewPage(id, buf), nil
+}
+
+// pin pins the page, reading it from disk on a miss, and returns its frame
+// buffer and the simulated microseconds the read charged (zero on a hit).
+// With wait, latency emulation sleeps the read off before the loading latch
+// opens, as Fetch always has; without, the caller owes the wait. With spare,
+// pin declines (nil buffer, nil error) rather than pin one more frame once
+// half of the shard's frames are pinned.
+func (bp *BufferPool) pin(id PageID, wait, spare bool) ([]byte, int64, error) {
 	sh := bp.shard(id)
 	for {
 		sh.mu.Lock()
@@ -214,17 +228,25 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 				<-ch
 				continue
 			}
+			if spare && f.pin == 0 && !sh.spareLocked() {
+				sh.mu.Unlock()
+				return nil, 0, nil
+			}
 			f.pin++
 			f.refbit = true
 			sh.hits++
 			sh.mu.Unlock()
-			return NewPage(id, f.buf), nil
+			return f.buf, 0, nil
+		}
+		if spare && !sh.spareLocked() {
+			sh.mu.Unlock()
+			return nil, 0, nil
 		}
 		sh.misses++
 		idx, err := sh.victimLocked(bp.disk)
 		if err != nil {
 			sh.mu.Unlock()
-			return nil, err
+			return nil, 0, err
 		}
 		f := &sh.frames[idx]
 		ch := make(chan struct{})
@@ -236,7 +258,10 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		// Read outside the lock so hits on other pages of this shard (and
 		// concurrent loads) proceed; the frame is pinned so it cannot be
 		// stolen meanwhile, and the latch keeps same-page fetchers out.
-		rerr := bp.readVerified(id, buf)
+		us, rerr := bp.readVerified(id, buf)
+		if wait {
+			bp.disk.emulate(us)
+		}
 		sh.mu.Lock()
 		f.loading = nil
 		if rerr != nil {
@@ -247,35 +272,51 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		sh.mu.Unlock()
 		close(ch)
 		if rerr != nil {
-			return nil, rerr
+			return nil, 0, rerr
 		}
-		return NewPage(id, buf), nil
+		return buf, us, nil
 	}
+}
+
+// spareLocked reports whether pinning one more frame still leaves at least
+// half of the shard's frames unpinned. Caller holds sh.mu.
+func (sh *poolShard) spareLocked() bool {
+	pinned := 1
+	for i := range sh.frames {
+		if sh.frames[i].valid && sh.frames[i].pin > 0 {
+			pinned++
+		}
+	}
+	return 2*pinned <= len(sh.frames)
 }
 
 // readVerified reads the page and checks it against the checksum of its
 // last complete write, so a torn page surfaces at the first live fetch
 // instead of only during crash-recovery replay. With doublewrite retention
 // on, a mismatch is repaired from the last good image and re-read; without
-// it the checksum error propagates to the caller.
-func (bp *BufferPool) readVerified(id PageID, buf []byte) error {
-	if err := bp.disk.ReadPage(id, buf); err != nil {
-		return err
+// it the checksum error propagates to the caller. It returns the simulated
+// microseconds charged and leaves the latency wait to the caller.
+func (bp *BufferPool) readVerified(id PageID, buf []byte) (int64, error) {
+	us, err := bp.disk.readPage(id, buf)
+	if err != nil {
+		return us, err
 	}
 	verr := bp.disk.VerifyPage(id)
 	if verr == nil {
-		return nil
+		return us, nil
 	}
 	if !bp.disk.DoublewriteEnabled() {
-		return verr
+		return us, verr
 	}
 	if err := bp.disk.RepairPage(id); err != nil {
-		return verr
+		return us, verr
 	}
-	if err := bp.disk.ReadPage(id, buf); err != nil {
-		return err
+	again, err := bp.disk.readPage(id, buf)
+	us += again
+	if err != nil {
+		return us, err
 	}
-	return bp.disk.VerifyPage(id)
+	return us, bp.disk.VerifyPage(id)
 }
 
 // MarkDirty records that the pinned page has been modified.

@@ -65,8 +65,9 @@ func (p DiskParams) SequentialAccessTime(b int) float64 {
 
 // microseconds converts a cost in milliseconds to the integer microsecond
 // unit DiskSim accounts in. Integer accumulation is exact and commutative,
-// so totals are free of floating-point drift and independent of the order
-// concurrent workers interleave their accesses.
+// so totals are free of floating-point drift and a given set of charges sums
+// to the same total in any order. Which charge an access draws (random or
+// sequential) does depend on access order; see DiskSim.charge.
 func microseconds(ms float64) int64 { return int64(math.Round(ms * 1000)) }
 
 // PageID identifies a page within the simulated disk. Pages are allocated
@@ -111,12 +112,14 @@ func (s DiskStats) String() string {
 //
 // DiskSim is safe for concurrent use: page contents are guarded by an
 // RWMutex (parallel readers proceed concurrently), and the access counters
-// are atomics, so the simulated-time total is an order-independent integer
-// sum — deterministic no matter how worker goroutines interleave. The
-// sequential-vs-random classification of an access consults the last
-// accessed page ID without synchronizing the pair of operations; under ESM
-// layout accounting (every access random) — the mode all concurrent benches
-// run in — the classification does not depend on it at all.
+// are atomics, so the simulated-time total is an integer sum free of
+// rounding drift. The sum is commutative, but the sequential-vs-random
+// classification is not: each access is classified against the access that
+// preceded it on this disk (one atomic swap of the head position), so the
+// total depends on the order accesses arrive. Concurrent readers that need
+// a schedule-independent total must arrive in a fixed order — the parallel
+// executor's ordered task loading (BufferPool.Preload) provides it. Under
+// ESM layout accounting (every access random) the order does not matter.
 type DiskSim struct {
 	mu     sync.RWMutex // guards pages, sums, good, free, next, fi, doublewrite
 	params DiskParams
@@ -266,10 +269,14 @@ func (d *DiskSim) NumPages() int {
 
 // charge accounts one access of kind (read/write, adjacent or not) and
 // returns the microseconds charged; the caller sleeps them out after
-// releasing its locks if latency emulation is on.
+// releasing its locks if latency emulation is on. The head moves with one
+// atomic swap, so every access is classified against exactly the access
+// that preceded it in some serial order — two concurrent accesses can never
+// both continue from the same head position.
 func (d *DiskSim) charge(id PageID, write bool) int64 {
+	prev := d.last.Swap(uint32(id))
 	var us int64
-	if d.adjacent(id) {
+	if !d.esmLayout.Load() && prev != 0 && uint32(id) == prev+1 {
 		if write {
 			d.sequentialWrites.Add(1)
 		} else {
@@ -285,43 +292,56 @@ func (d *DiskSim) charge(id PageID, write bool) int64 {
 		us = d.randUs
 	}
 	d.timeUs.Add(us)
-	d.last.Store(uint32(id))
 	return us
+}
+
+// wallFor converts us simulated microseconds to the wall-clock wait latency
+// emulation owes for them (zero when emulation is off).
+func (d *DiskSim) wallFor(us int64) time.Duration {
+	return time.Duration(us * d.latencyNsPerSimMs.Load() / 1000)
 }
 
 // emulate blocks for the wall-clock equivalent of us simulated microseconds
 // when latency emulation is on. Never called with locks held.
 func (d *DiskSim) emulate(us int64) {
-	if ns := d.latencyNsPerSimMs.Load(); ns > 0 {
-		time.Sleep(time.Duration(us * ns / 1000))
+	if w := d.wallFor(us); w > 0 {
+		time.Sleep(w)
 	}
 }
 
 // ReadPage copies the content of the page into buf, which must be exactly
 // one block long, and charges the physical cost of the access.
 func (d *DiskSim) ReadPage(id PageID, buf []byte) error {
+	us, err := d.readPage(id, buf)
+	d.emulate(us)
+	return err
+}
+
+// readPage is ReadPage without the latency wait: it charges the access and
+// returns the simulated microseconds the caller owes, so a caller that must
+// charge reads in a fixed order can do so under a lock and sleep afterwards.
+func (d *DiskSim) readPage(id PageID, buf []byte) (int64, error) {
 	d.mu.RLock()
 	src, ok := d.pages[id]
 	if !ok {
 		d.mu.RUnlock()
-		return fmt.Errorf("storage: read of unallocated page %d", id)
+		return 0, fmt.Errorf("storage: read of unallocated page %d", id)
 	}
 	if len(buf) != d.params.BlockSize {
 		d.mu.RUnlock()
-		return fmt.Errorf("storage: read buffer is %d bytes, want %d", len(buf), d.params.BlockSize)
+		return 0, fmt.Errorf("storage: read buffer is %d bytes, want %d", len(buf), d.params.BlockSize)
 	}
 	switch d.fi.Check(fault.OpPageRead).Kind {
 	case fault.Transient:
 		d.mu.RUnlock()
-		return fmt.Errorf("storage: read page %d: %w", id, fault.ErrTransient)
+		return 0, fmt.Errorf("storage: read page %d: %w", id, fault.ErrTransient)
 	case fault.Torn, fault.Crash:
 		d.mu.RUnlock()
-		return fmt.Errorf("storage: read page %d: %w", id, fault.ErrCrash)
+		return 0, fmt.Errorf("storage: read page %d: %w", id, fault.ErrCrash)
 	}
 	copy(buf, src)
 	d.mu.RUnlock()
-	d.emulate(d.charge(id, false))
-	return nil
+	return d.charge(id, false), nil
 }
 
 // WritePage stores buf (exactly one block) as the new content of the page
@@ -378,16 +398,6 @@ func (d *DiskSim) writePageLocked(id PageID, buf []byte) error {
 		copy(g, buf)
 	}
 	return nil
-}
-
-// adjacent reports whether accessing id continues a physically sequential
-// run.
-func (d *DiskSim) adjacent(id PageID) bool {
-	if d.esmLayout.Load() {
-		return false
-	}
-	l := d.last.Load()
-	return l != 0 && uint32(id) == l+1
 }
 
 // SetESMLayout toggles ESM file-layout accounting: when on, every page

@@ -115,6 +115,12 @@ type Store interface {
 	// PrefetchPart requests background loads of one part's pages (no-op
 	// without a prefetcher on that shard).
 	PrefetchPart(part int, ids ...PageID)
+	// PreloadBatch pins, into p, the pages a FetchBatch of oids reads in
+	// its page pass, charging each disk in FetchBatch's page order (see
+	// Preload).
+	PreloadBatch(p *Preload, oids []OID) error
+	// PreloadPart pins, into p, pages of one part in the order given.
+	PreloadPart(p *Preload, part int, ids []PageID) error
 
 	// SetInvalidator installs the object-cache invalidation hook on every
 	// shard. Install once at open time, before the store is shared.
