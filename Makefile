@@ -18,11 +18,11 @@
 #   make bench-cache     regenerate BENCH_cache.json (object-cache sweep at
 #                        cache=0/64KiB/1MiB; reads/hit-rate/decode columns
 #                        deterministic, wall-clock columns machine-local)
-#   make bench-vector    regenerate BENCH_vector.json (vectorized batches +
-#                        compiled predicates vs the row-at-a-time pipeline;
-#                        rows/reads/decode columns deterministic, wall-clock
-#                        and speedup columns machine-local) plus the
-#                        row-vs-vector scan microbenchmarks
+#   make bench-vector    regenerate BENCH_vector.json (batch-at-a-time
+#                        scans with compiled predicates, serial vs a
+#                        4-worker exchange; rows/reads/decode columns
+#                        deterministic, wall-clock and speedup columns
+#                        machine-local) plus the vector scan microbenchmark
 #   make bench-shard     regenerate BENCH_shard.json (sharded-store sweep at
 #                        shards=1/2/4: scan + hash-join reads must match
 #                        across shard counts, insert+update commit

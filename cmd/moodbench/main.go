@@ -64,7 +64,7 @@ func artifacts() []artifact {
 		{"indexrule", "8.1 index-selection rule sweep", experiments.IndexSelectionSweep},
 		{"parallel", "morsel-driven exchange scaling, workers=1/2/4/8", experiments.ParallelScaling},
 		{"cache", "object-cache sweep, cache=0/64KiB/1MiB", experiments.CacheSweep},
-		{"vector", "vectorized execution vs row-at-a-time, compiled predicates", experiments.VectorSweep},
+		{"vector", "vectorized execution with compiled predicates, serial vs exchange", experiments.VectorSweep},
 		{"shard", "sharded-store scaling, shards=1/2/4", experiments.ShardScaling},
 		{"joinpaths", "join access paths, forward vs join-index vs hash vs fusion", experiments.JoinAccessSweep},
 		{"cluster", "reference clustering, scattered vs reorganized cold traversal", experiments.ClusterSweep},
@@ -240,7 +240,7 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "write a JSON baseline of per-artifact simulated I/O to this file and exit")
 	parallelJSON := flag.String("parallel-json", "", "write the workers=1/2/4/8 parallel scaling sweep to this file and exit")
 	cacheJSON := flag.String("cache-json", "", "write the object-cache sweep (cache=0/64KiB/1MiB) to this file and exit")
-	vectorJSON := flag.String("vector-json", "", "write the vectorized-execution sweep (row/vector/vector-parallel) to this file and exit")
+	vectorJSON := flag.String("vector-json", "", "write the vectorized-execution sweep (vector/vector-parallel) to this file and exit")
 	shardJSON := flag.String("shard-json", "", "write the sharded-store sweep (shards=1/2/4, queries + commit throughput) to this file and exit")
 	joinJSON := flag.String("join-json", "", "write the join-access-path sweep (forward/join-index/hash/fusion) to this file and exit")
 	clusterJSON := flag.String("cluster-json", "", "write the clustering protocol (scattered vs reorganized cold traversal) to this file and exit")

@@ -142,6 +142,10 @@ func RunGroup(cfg GroupConfig) (GroupResult, error) {
 	// Workers commit concurrently; each one's write content is a pure
 	// function of (seed, worker), only the window membership is scheduled.
 	txns := make([][]groupTxn, cfg.Workers)
+	// Sessions share pages, so each page's log-append, apply and LSN stamp
+	// run under that page's latch, as under a storage layer's exclusive
+	// page latch: no torn LSN, and page LSNs stay in log order.
+	latches := make([]sync.Mutex, len(pages))
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -156,10 +160,14 @@ func RunGroup(cfg GroupConfig) (GroupResult, error) {
 				writes := map[storage.PageID]map[int]byte{}
 				ok := true
 				for i := 0; i < cfg.WritesPerTxn; i++ {
-					p := pages[wrng.Intn(len(pages))]
+					pi := wrng.Intn(len(pages))
+					p := pages[pi]
 					off := region + wrng.Intn(regionLen)
 					val := byte(1 + wrng.Intn(255))
-					if err := loggedWrite(log, bp, tx, p, off, val); err != nil {
+					latches[pi].Lock()
+					err := loggedWrite(log, bp, tx, p, off, val)
+					latches[pi].Unlock()
+					if err != nil {
 						ok = false // post-crash append; the tx is a loser
 						break
 					}

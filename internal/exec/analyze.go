@@ -10,12 +10,12 @@ import (
 )
 
 // EXPLAIN ANALYZE instrumentation: every operator is wrapped with a stats
-// shim that accumulates, per Open/Next/Close call, the simulated page reads
-// and wall time spent inside it — children included, since their calls nest
-// within the parent's. The per-operator ("self") figures fall out at report
-// time as a node's cumulative total minus its direct children's. The
-// wrappers exist only on the analyzed pipeline; plain Execute pays no
-// per-row instrumentation cost.
+// shim that accumulates, per Open/NextBatch/Close call, the simulated page
+// reads and wall time spent inside it — children included, since their
+// calls nest within the parent's. The per-operator ("self") figures fall
+// out at report time as a node's cumulative total minus its direct
+// children's. The wrappers exist only on the analyzed pipeline; plain
+// Execute pays no instrumentation cost.
 //
 // With the object cache and prefetcher on, the same delta scheme attributes
 // cache hits/misses and readahead page loads per operator. Cache hits do
@@ -63,7 +63,7 @@ func (an *analyzeCtx) snapshot() snap {
 // statsOp wraps an operator, charging pages, cache activity, and wall time
 // spent inside its calls (nested child calls included) to st.
 type statsOp struct {
-	inner optimizer.Operator
+	inner Operator
 	an    *analyzeCtx
 	st    *opStats
 }
@@ -87,25 +87,12 @@ func (s *statsOp) Open() error {
 	return err
 }
 
-func (s *statsOp) Next() (algebra.Row, bool, error) {
-	start := time.Now()
-	s0 := s.an.snapshot()
-	row, ok, err := s.inner.Next()
-	s.settle(start, s0)
-	if ok {
-		s.st.rowsOut++
-	}
-	return row, ok, err
-}
-
-// NextBatch keeps the batch flow alive through the instrumentation layer:
-// without it, the adapter in nextBatch would silently demote every analyzed
-// pipeline to row-at-a-time, and EXPLAIN ANALYZE would measure a different
-// execution than the one plain Execute runs.
+// NextBatch passes the consumer's batch through unchanged, so EXPLAIN
+// ANALYZE measures the same execution plain Execute runs.
 func (s *statsOp) NextBatch(b *RowBatch) (int, error) {
 	start := time.Now()
 	s0 := s.an.snapshot()
-	n, err := nextBatch(s.inner, b)
+	n, err := s.inner.NextBatch(b)
 	s.settle(start, s0)
 	s.st.rowsOut += int64(n)
 	if n > 0 {
@@ -128,7 +115,7 @@ type OpReport struct {
 	RowsIn  int64 // sum of the direct children's rows out
 	RowsOut int64
 	// Batches counts the non-empty NextBatch calls observed at this
-	// operator; zero when the node was driven row-at-a-time.
+	// operator; zero for an operator that produced no rows.
 	Batches int64
 	// CompiledSet marks operators that participate in predicate/projection
 	// compilation; Compiled then reports whether the expression fully
@@ -242,12 +229,7 @@ func (e *Executor) ExecuteAnalyzed(p optimizer.Plan) (*algebra.Collection, *Anal
 	if e.ShardPages != nil {
 		s0 = e.ShardPages()
 	}
-	var coll *algebra.Collection
-	if e.RowMode {
-		coll, err = drainRows(root.op, root.hdr)
-	} else {
-		coll, err = drainOp(root.op, root.hdr)
-	}
+	coll, err := root.drain()
 	if err != nil {
 		return nil, nil, err
 	}

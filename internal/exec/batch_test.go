@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"mood/internal/algebra"
+	"mood/internal/catalog"
+	"mood/internal/cost"
 	"mood/internal/expr"
 	"mood/internal/object"
 	"mood/internal/optimizer"
@@ -11,13 +14,13 @@ import (
 )
 
 // Batch-boundary edge tests: empty extents, extents landing exactly on and
-// either side of BatchCapacity, early Close mid-batch, and the batch<->row
-// adapter in both directions. These pin the NextBatch contract (n==0 with
-// nil error only at end of stream, partial batches only at the end) at the
-// sizes where off-by-one bugs live.
+// either side of BatchCapacity, filtered streams, early Close mid-batch, and
+// the root row cursor. These pin the NextBatch contract (n==0 with nil
+// error only at end of stream, partial batches only at the end, no more
+// reading than the batch needs) at the sizes where off-by-one bugs live.
 
 // batchFixture builds a database whose Company extent has exactly n rows
-// (the other extents stay minimal) and returns the fixture.
+// (the other extents stay minimal, Employee empty) and returns the fixture.
 func batchFixture(t testing.TB, n int) *fixture {
 	t.Helper()
 	return setup(t, vehicledb.Config{
@@ -26,12 +29,70 @@ func batchFixture(t testing.TB, n int) *fixture {
 	})
 }
 
+// operatorFixture is batchFixture with one Employee — every Company's
+// president — and B-tree indexes on Company.name and Company.location, so
+// the join, product, union and intersect operators each have an n-row
+// stream to produce.
+func operatorFixture(t testing.TB, n int) *fixture {
+	t.Helper()
+	f := setup(t, vehicledb.Config{
+		Vehicles: 16, DriveTrains: 16, Engines: 16,
+		Companies: n, Employees: 1, Seed: 5,
+	})
+	for _, attr := range []string{"name", "location"} {
+		if _, err := f.db.Cat.CreateIndex("company_"+attr, "Company", attr, catalog.BTreeIndex, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
+}
+
+func companyAt(loc string) expr.Expr {
+	return &expr.Cmp{
+		Op: expr.OpEq,
+		L:  expr.Path("c", "location"),
+		R:  &expr.Const{Val: object.NewString(loc)},
+	}
+}
+
+// operatorPlans returns one plan per operator the boundary tests cover, all
+// over the operatorFixture's Company extent. With tokyo set, every plan
+// keeps only the Tokyo companies, filtered inside the operator under test;
+// otherwise every plan produces exactly one row per company.
+func operatorPlans(f *fixture, tokyo bool) map[string]optimizer.Plan {
+	companies := &optimizer.BindPlan{Class: "Company", Var: "c"}
+	var left optimizer.Plan = companies
+	if tokyo {
+		left = &optimizer.SelectPlan{Input: companies, Pred: companyAt("Tokyo")}
+	}
+	president := &optimizer.BindPlan{Class: "Employee", Var: "p"}
+	join := func(m cost.JoinMethod) optimizer.Plan {
+		return &optimizer.JoinPlan{Left: left, Right: president, Method: m,
+			LeftVar: "c", Attribute: "president", RightVar: "p"}
+	}
+	indSel := func(attr string, op expr.CmpOp, val string) optimizer.Plan {
+		return &optimizer.IndSelPlan{Class: "Company", Var: "c", Index: f.db.Cat.IndexOn("Company", attr),
+			Pred: algebra.SimplePredicate{Attribute: attr, Op: op, Constant: object.NewString(val)}}
+	}
+	second := indSel("location", expr.OpGe, "A")
+	if tokyo {
+		second = indSel("location", expr.OpEq, "Tokyo")
+	}
+	return map[string]optimizer.Plan{
+		"intersect": &optimizer.IntersectPlan{Inputs: []optimizer.Plan{indSel("name", expr.OpGe, "A"), second}},
+		"forward":   join(cost.ForwardTraversal),
+		"backward":  join(cost.BackwardTraversal),
+		"cross":     &optimizer.CrossPlan{Left: left, Right: president},
+		"union":     &optimizer.UnionPlan{Inputs: []optimizer.Plan{left, left}, Vars: []string{"c"}},
+	}
+}
+
 // drainBatches drives op through NextBatch until end of stream, returning
 // every batch size in order (the terminating 0 excluded).
-func drainBatches(t *testing.T, op BatchOperator) []int {
+func drainBatches(t *testing.T, op Operator) []int {
 	t.Helper()
 	var sizes []int
-	b := &RowBatch{}
+	b := newRowBatch(BatchCapacity)
 	for {
 		n, err := op.NextBatch(b)
 		if err != nil {
@@ -48,20 +109,17 @@ func drainBatches(t *testing.T, op BatchOperator) []int {
 	}
 }
 
-func compileBatch(t *testing.T, ex *Executor, p optimizer.Plan) BatchOperator {
+// openOp compiles a plan to its root operator and opens it.
+func openOp(t *testing.T, ex *Executor, p optimizer.Plan) Operator {
 	t.Helper()
-	op, err := ex.Compile(p)
+	c, err := ex.compileNode(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bo, ok := op.(BatchOperator)
-	if !ok {
-		t.Fatalf("compiled root %T does not implement BatchOperator", op)
-	}
-	if err := bo.Open(); err != nil {
+	if err := c.op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	return bo
+	return c.op
 }
 
 // TestBatchEmptyExtent: a scan of an empty extent ends immediately — one
@@ -79,7 +137,7 @@ func TestBatchEmptyExtent(t *testing.T) {
 		}},
 	}
 	for _, p := range plans {
-		op := compileBatch(t, f.ex, p)
+		op := openOp(t, f.ex, p)
 		if sizes := drainBatches(t, op); len(sizes) != 0 {
 			t.Errorf("%s: empty extent produced batches %v", optimizer.Describe(p), sizes)
 		}
@@ -89,9 +147,11 @@ func TestBatchEmptyExtent(t *testing.T) {
 	}
 }
 
-// TestBatchCapacityBoundaries: extents of BatchCapacity-1, BatchCapacity,
+// TestBatchCapacityBoundaries: streams of BatchCapacity-1, BatchCapacity,
 // and BatchCapacity+1 rows produce full batches with the remainder — and
-// only the remainder — in the final batch.
+// only the remainder — in the final batch: the extent scan, and the
+// intersect, forward/backward traversal joins, cross product and union
+// over an extent of that size.
 func TestBatchCapacityBoundaries(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -103,228 +163,160 @@ func TestBatchCapacityBoundaries(t *testing.T) {
 		{2*BatchCapacity + 7, []int{BatchCapacity, BatchCapacity, 7}},
 	}
 	for _, tc := range cases {
-		f := batchFixture(t, tc.n)
-		op := compileBatch(t, f.ex, &optimizer.BindPlan{Class: "Company", Var: "c"})
-		sizes := drainBatches(t, op)
-		if len(sizes) != len(tc.want) {
-			t.Fatalf("n=%d: batches %v, want %v", tc.n, sizes, tc.want)
-		}
-		for i := range sizes {
-			if sizes[i] != tc.want[i] {
-				t.Fatalf("n=%d: batches %v, want %v", tc.n, sizes, tc.want)
+		f := operatorFixture(t, tc.n)
+		plans := operatorPlans(f, false)
+		plans["bind"] = &optimizer.BindPlan{Class: "Company", Var: "c"}
+		for name, p := range plans {
+			op := openOp(t, f.ex, p)
+			sizes := drainBatches(t, op)
+			if fmt.Sprint(sizes) != fmt.Sprint(tc.want) {
+				t.Fatalf("%s n=%d: batches %v, want %v", name, tc.n, sizes, tc.want)
 			}
-		}
-		if err := op.Close(); err != nil {
-			t.Fatal(err)
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-// TestBatchFilteredNeverZeroMidStream: a fused scan-selection keeps pulling
+// TestBatchFilteredNeverZeroMidStream: filtering operators keep pulling
 // past filtered-out runs — every batch but the last is full, none is empty,
-// and the surviving rows are exactly the predicate's.
+// and the surviving rows are exactly the predicate's. Covered: the fused
+// scan-selection, and the intersect (index recheck), the traversal joins,
+// cross product and union fed by a selective input.
 func TestBatchFilteredNeverZeroMidStream(t *testing.T) {
 	const n = 3*BatchCapacity + 100
-	f := batchFixture(t, n)
-	// location cycles through five cities, so ='Tokyo' keeps every fifth
-	// row and survivors straddle many input batches.
-	op := compileBatch(t, f.ex, &optimizer.SelectPlan{
-		Input: &optimizer.BindPlan{Class: "Company", Var: "c"},
-		Pred: &expr.Cmp{
-			Op: expr.OpEq,
-			L:  expr.Path("c", "location"),
-			R:  &expr.Const{Val: object.NewString("Tokyo")},
-		},
-	})
-	sizes := drainBatches(t, op)
-	total := 0
-	for i, s := range sizes {
-		total += s
-		if s == 0 {
-			t.Fatalf("batch %d is empty mid-stream: %v", i, sizes)
-		}
-		if i < len(sizes)-1 && s != BatchCapacity {
-			t.Fatalf("batch %d is short (%d) before end of stream: %v", i, s, sizes)
-		}
-	}
+	f := operatorFixture(t, n)
 	want := 0
 	for i := 0; i < n; i++ {
 		if i%5 == 2 { // generator cycle: Ankara, Munich, Tokyo, Detroit, Istanbul
 			want++
 		}
 	}
-	if total != want {
-		t.Fatalf("filtered rows = %d, want %d", total, want)
+	// location cycles through five cities, so ='Tokyo' keeps every fifth
+	// row and survivors straddle many input batches.
+	plans := operatorPlans(f, true)
+	plans["scan-select"] = &optimizer.SelectPlan{
+		Input: &optimizer.BindPlan{Class: "Company", Var: "c"},
+		Pred:  companyAt("Tokyo"),
 	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchEarlyCloseReadCounts: abandoning a scan after one batch reads
-// exactly the pages that 1024 row-at-a-time Next calls read — batching must
-// not drag extra extent pages in before Close.
-func TestBatchEarlyCloseReadCounts(t *testing.T) {
-	const n = 3 * BatchCapacity
-	readsAfter := func(drive func(op BatchOperator)) int64 {
-		f := batchFixture(t, n)
-		op := compileBatch(t, f.ex, &optimizer.BindPlan{Class: "Company", Var: "c"})
-		d := f.pool.Disk()
-		d.ResetStats()
-		drive(op)
+	for name, p := range plans {
+		op := openOp(t, f.ex, p)
+		sizes := drainBatches(t, op)
+		total := 0
+		for i, s := range sizes {
+			total += s
+			if s == 0 {
+				t.Fatalf("%s: batch %d is empty mid-stream: %v", name, i, sizes)
+			}
+			if i < len(sizes)-1 && s != BatchCapacity {
+				t.Fatalf("%s: batch %d is short (%d) before end of stream: %v", name, i, s, sizes)
+			}
+		}
+		if total != want {
+			t.Fatalf("%s: filtered rows = %d, want %d", name, total, want)
+		}
 		if err := op.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return d.Stats().Reads()
 	}
-	batchReads := readsAfter(func(op BatchOperator) {
-		b := &RowBatch{}
-		got, err := op.NextBatch(b)
-		if err != nil || got != BatchCapacity {
-			t.Fatalf("NextBatch = (%d, %v), want (%d, nil)", got, err, BatchCapacity)
-		}
-	})
-	rowReads := readsAfter(func(op BatchOperator) {
-		for i := 0; i < BatchCapacity; i++ {
-			if _, ok, err := op.Next(); err != nil || !ok {
-				t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
+}
+
+// TestBatchEarlyCloseReadCounts: abandoning a stream after one full batch
+// reads exactly the pages that BatchCapacity one-row batches read — a
+// producer must not drag extra pages in beyond the batch it was handed. The
+// extent scan, and the intersect, traversal joins, cross product and union
+// over a selective input, each over a cold pool.
+func TestBatchEarlyCloseReadCounts(t *testing.T) {
+	const n = 6 * BatchCapacity // a fifth of it (the Tokyo rows) still fills a batch
+	for _, name := range []string{"bind", "intersect", "forward", "backward", "cross", "union"} {
+		readsAfter := func(drive func(op Operator)) int64 {
+			f := operatorFixture(t, n)
+			plans := operatorPlans(f, true)
+			plans["bind"] = &optimizer.BindPlan{Class: "Company", Var: "c"}
+			if err := f.pool.EvictAll(); err != nil {
+				t.Fatal(err)
 			}
+			d := f.pool.Disk()
+			d.ResetStats()
+			op := openOp(t, f.ex, plans[name])
+			drive(op)
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return d.Stats().Reads()
 		}
-	})
-	if batchReads != rowReads {
-		t.Fatalf("early close after one batch read %d pages, row-at-a-time read %d", batchReads, rowReads)
+		batchReads := readsAfter(func(op Operator) {
+			got, err := op.NextBatch(newRowBatch(BatchCapacity))
+			if err != nil || got != BatchCapacity {
+				t.Fatalf("%s: NextBatch = (%d, %v), want (%d, nil)", name, got, err, BatchCapacity)
+			}
+		})
+		rowReads := readsAfter(func(op Operator) {
+			b := newRowBatch(1)
+			for i := 0; i < BatchCapacity; i++ {
+				if got, err := op.NextBatch(b); err != nil || got != 1 {
+					t.Fatalf("%s: one-row NextBatch %d = (%d, %v)", name, i, got, err)
+				}
+			}
+		})
+		if batchReads != rowReads {
+			t.Errorf("%s: early close after one batch read %d pages, one row at a time read %d",
+				name, batchReads, rowReads)
+		}
+		if batchReads == 0 {
+			t.Errorf("%s: no pages read; the stream measured nothing", name)
+		}
 	}
 }
 
-// rowOnly hides an operator's native NextBatch, forcing the row->batch
-// adapter path in nextBatch.
-type rowOnly struct {
-	inner optimizer.Operator
-}
-
-func (r *rowOnly) Open() error                      { return r.inner.Open() }
-func (r *rowOnly) Next() (algebra.Row, bool, error) { return r.inner.Next() }
-func (r *rowOnly) Close() error                     { return r.inner.Close() }
-
-// TestBatchRowAdapterRoundTrip: driving a batch-native operator through the
-// row->batch adapter, and a batch stream through the batch->row adapter,
-// reproduces the native row stream exactly; and Next/NextBatch mix on one
-// operator without losing position.
-func TestBatchRowAdapterRoundTrip(t *testing.T) {
-	const n = BatchCapacity + 200
-	oids := func(rows []algebra.Row) []int64 {
-		out := make([]int64, len(rows))
-		for i, r := range rows {
-			out[i] = int64(r.Vars["c"].OID)
-		}
-		return out
-	}
+// TestCursorRoundTrip: the root cursor Compile returns hands out exactly
+// Execute's row stream, one row per Next across batch boundaries, under
+// Execute's header; exhaustion is sticky and Close is idempotent.
+func TestCursorRoundTrip(t *testing.T) {
+	const n = 2*BatchCapacity + 200
 	f := batchFixture(t, n)
-	plan := &optimizer.BindPlan{Class: "Company", Var: "c"}
-
-	native, err := f.ex.Execute(plan)
+	plan := &optimizer.SelectPlan{
+		Input: &optimizer.BindPlan{Class: "Company", Var: "c"},
+		Pred:  &expr.Not{E: companyAt("Tokyo")},
+	}
+	want, err := f.ex.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(native.Rows) != n {
-		t.Fatalf("native rows = %d, want %d", len(native.Rows), n)
+	if len(want.Rows) <= BatchCapacity {
+		t.Fatalf("only %d rows; the cursor never crosses a batch boundary", len(want.Rows))
 	}
-	wantOIDs := oids(native.Rows)
-
-	// Row->batch: the adapter loop over a row-only wrapper.
-	inner, err := f.ex.Compile(plan)
+	cur, err := f.ex.Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := &rowOnly{inner: inner}
-	if err := wrapped.Open(); err != nil {
+	if h := cur.Header(); h.Kind != want.Kind || h.Name != want.Name || h.Class != want.Class {
+		t.Fatalf("cursor header %+v, Execute collection (%v,%q,%q)", h, want.Kind, want.Name, want.Class)
+	}
+	if err := cur.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var viaAdapter []algebra.Row
-	b := &RowBatch{}
+	got := &algebra.Collection{Kind: want.Kind, Name: want.Name, Class: want.Class}
 	for {
-		got, err := nextBatch(wrapped, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == 0 {
-			break
-		}
-		viaAdapter = append(viaAdapter, b.Rows[:got]...)
-	}
-	if err := wrapped.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gotOIDs := oids(viaAdapter)
-	if len(gotOIDs) != len(wantOIDs) {
-		t.Fatalf("adapter rows = %d, want %d", len(gotOIDs), len(wantOIDs))
-	}
-	for i := range gotOIDs {
-		if gotOIDs[i] != wantOIDs[i] {
-			t.Fatalf("adapter row %d: OID %d, want %d", i, gotOIDs[i], wantOIDs[i])
-		}
-	}
-
-	// Batch->row: batchRows iteration over a batch-native refill.
-	src := compileBatch(t, f.ex, plan)
-	br := &batchRows{}
-	var viaRows []int64
-	for {
-		row, ok, err := br.next(src.NextBatch)
+		row, ok, err := cur.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		viaRows = append(viaRows, int64(row.Vars["c"].OID))
+		got.Rows = append(got.Rows, row)
 	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
+	if _, ok, err := cur.Next(); ok || err != nil {
+		t.Fatalf("Next after exhaustion = (ok=%v, %v), want (false, nil)", ok, err)
 	}
-	if len(viaRows) != len(wantOIDs) {
-		t.Fatalf("batchRows rows = %d, want %d", len(viaRows), len(wantOIDs))
-	}
-	for i := range viaRows {
-		if viaRows[i] != wantOIDs[i] {
-			t.Fatalf("batchRows row %d: OID %d, want %d", i, viaRows[i], wantOIDs[i])
-		}
-	}
-
-	// Mixed driving: rows consumed through Next advance the same stream
-	// position NextBatch continues from.
-	mixed := compileBatch(t, f.ex, plan)
-	var mixedOIDs []int64
-	for i := 0; i < 3; i++ {
-		row, ok, err := mixed.Next()
-		if err != nil || !ok {
-			t.Fatalf("mixed Next %d: ok=%v err=%v", i, ok, err)
-		}
-		mixedOIDs = append(mixedOIDs, int64(row.Vars["c"].OID))
-	}
-	for {
-		got, err := mixed.NextBatch(b)
-		if err != nil {
+	for i := 0; i < 2; i++ {
+		if err := cur.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got == 0 {
-			break
-		}
-		for _, r := range b.Rows[:got] {
-			mixedOIDs = append(mixedOIDs, int64(r.Vars["c"].OID))
-		}
 	}
-	if err := mixed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(mixedOIDs) != len(wantOIDs) {
-		t.Fatalf("mixed rows = %d, want %d", len(mixedOIDs), len(wantOIDs))
-	}
-	for i := range mixedOIDs {
-		if mixedOIDs[i] != wantOIDs[i] {
-			t.Fatalf("mixed row %d: OID %d, want %d", i, mixedOIDs[i], wantOIDs[i])
-		}
-	}
+	assertCollectionsEqual(t, "cursor vs Execute", got, want)
 }
 
 // TestParallelPartialBatchMerge is the regression test for the exchange
@@ -341,13 +333,13 @@ func TestParallelPartialBatchMerge(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 3, 5} {
-		op := compileBatch(t, f.ex, &optimizer.ExchangePlan{
+		op := openOp(t, f.ex, &optimizer.ExchangePlan{
 			Input:   &optimizer.BindPlan{Class: "Company", Var: "c"},
 			Workers: workers,
 		})
 		var got []int64
 		var sizes []int
-		b := &RowBatch{}
+		b := newRowBatch(BatchCapacity)
 		for {
 			k, err := op.NextBatch(b)
 			if err != nil {

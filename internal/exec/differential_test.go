@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"mood/internal/algebra"
 	"mood/internal/expr"
 	"mood/internal/objcache"
 	"mood/internal/object"
@@ -23,19 +22,27 @@ import (
 // dictionary classification, §8.1/8.1/8.2 ordering, all join strategies,
 // and the executor — against an oracle that uses none of it.
 //
-// Four execution legs run per trial: the vectorized streaming pipeline
-// (compiled predicates), the row-at-a-time interpreter (RowMode), the
-// materializing reference executor, and the morsel-parallel rewrite.
-// Halfway through, a decoded-object cache is switched on underneath all of
-// them, so the second half of the trials covers the cached read path too.
+// Three execution legs run per trial: the streaming pipeline (compiled
+// predicates), the materializing reference executor, and the
+// morsel-parallel rewrite. One leaf shape calls the method lbweight, which
+// does not compile: predicates using it keep the streaming path's
+// interpreted-expression fallback under test. Halfway through, a
+// decoded-object cache is switched on underneath all of them, so the
+// second half of the trials covers the cached read path too.
 func TestRandomQueriesDifferential(t *testing.T) {
 	f := defaultFixture(t)
 	rng := rand.New(rand.NewSource(testutil.Seed(t, 20240705)))
 
-	// The row-at-a-time leg: same algebra, compilation disabled, rows pulled
-	// one by one through the adapter-free interpreter path.
-	rowEx := New(algebra.New(f.db.Cat))
-	rowEx.RowMode = true
+	// lbweight is the paper's pounds conversion of the weight attribute
+	// (as in the algebra's method-predicate test).
+	invoke := func(self object.Value, _ storage.OID, method string, _ []object.Value) (object.Value, error) {
+		if method != "lbweight" {
+			return object.Null, fmt.Errorf("unknown method %s", method)
+		}
+		w, _ := self.Field("weight")
+		return object.NewInt(int32(float64(w.Int) * 2.2075)), nil
+	}
+	f.ex.Alg.Invoke = invoke
 
 	// Predicate building blocks over Vehicle v.
 	leaves := []func() expr.Expr{
@@ -60,6 +67,12 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			return &expr.Cmp{Op: ops[rng.Intn(len(ops))],
 				L: expr.Path("v", "drivetrain", "engine", "cylinders"),
 				R: &expr.Const{Val: object.NewInt(int32(2 + 2*rng.Intn(16)))}}
+		},
+		func() expr.Expr { // method call: interpreted on every path
+			ops := []expr.CmpOp{expr.OpGt, expr.OpLe, expr.OpNe}
+			return &expr.Cmp{Op: ops[rng.Intn(len(ops))],
+				L: &expr.Call{Base: &expr.Var{Name: "v"}, Method: "lbweight"},
+				R: &expr.Const{Val: object.NewInt(int32(1800 + rng.Intn(4800)))}}
 		},
 		func() expr.Expr { // BETWEEN on weight
 			lo := int32(800 + rng.Intn(1500))
@@ -114,15 +127,6 @@ func TestRandomQueriesDifferential(t *testing.T) {
 		}
 		assertCollectionsEqual(t, fmt.Sprintf("trial %d: %s", trial, pred), coll, eager)
 
-		// The row-at-a-time interpreter must produce the identical stream:
-		// this is the uncompiled, unbatched baseline the vectorized path is
-		// differentially pinned against.
-		rowColl, err := rowEx.Execute(plan)
-		if err != nil {
-			t.Fatalf("trial %d: row-mode execute %s: %v", trial, pred, err)
-		}
-		assertCollectionsEqual(t, fmt.Sprintf("trial %d (row mode): %s", trial, pred), rowColl, eager)
-
 		// The morsel-driven parallel rewrite of the same plan must produce
 		// the identical stream — values and order (run under -race, this is
 		// also the executor's main concurrency check).
@@ -140,6 +144,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 				Vars:    map[string]object.Value{"v": v},
 				OIDs:    map[string]storage.OID{"v": oid},
 				Resolve: resolver,
+				Invoke:  invoke,
 			}
 			ok, err := expr.EvalBool(pred, env)
 			if err != nil {

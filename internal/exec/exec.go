@@ -65,11 +65,6 @@ type Executor struct {
 	// shares its funcmgr.Manager registry here; a standalone executor gets a
 	// private one from New.
 	Funcs *funcmgr.QueryRegistry
-	// RowMode disables batch-at-a-time execution and predicate compilation:
-	// every operator is driven strictly through Next with interpreted
-	// expressions — the pre-vectorization pipeline, retained as a
-	// differential baseline (and selectable for benches).
-	RowMode bool
 }
 
 // New creates an executor.

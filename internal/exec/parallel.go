@@ -113,7 +113,7 @@ func exchangeWorkers(n int) int {
 // RowEvaluator — evaluators reuse one expression environment and are not
 // shareable across goroutines) is created exactly once. In eager mode the
 // pool launches and drains immediately, inside the caller's Open; in lazy
-// mode launch is deferred to the first Next, so no work happens before the
+// mode launch is deferred to the first NextBatch, so no work happens before the
 // consumer demands a row (and instrumentation around Open measures only the
 // serial setup: morsel discovery, index probes, join builds).
 func (c *exchangeCore) start(ntasks int, preload func(task int, p *storage.Preload) error,
@@ -212,53 +212,21 @@ func (c *exchangeCore) drainEager() error {
 	return c.err
 }
 
-// nextRow emits the merged stream: the current task's buffered rows, then
-// the next task in sequence — waiting on the results channel until that
-// task completes. A worker error surfaces as soon as its result arrives.
-func (c *exchangeCore) nextRow() (algebra.Row, bool, error) {
-	if !c.launched && c.started {
-		c.launch()
-	}
-	for {
-		if c.err != nil {
-			return algebra.Row{}, false, c.err
-		}
-		if c.ci < len(c.cur) {
-			row := c.cur[c.ci]
-			c.ci++
-			return row, true, nil
-		}
-		if c.seq >= c.ntasks {
-			return algebra.Row{}, false, nil
-		}
-		if rows, ok := c.buf[c.seq]; ok {
-			delete(c.buf, c.seq)
-			c.cur, c.ci = rows, 0
-			c.seq++
-			continue
-		}
-		res := <-c.results
-		if res.err != nil {
-			c.err = res.err
-			return algebra.Row{}, false, c.err
-		}
-		c.buf[res.seq] = res.rows
-	}
-}
-
-// nextBatch is the merge's batch form. Task outputs rarely align with
-// BatchCapacity (a morsel yields pages×rows-per-page rows), so the fill
-// continues across task boundaries: the current task's remainder, then as
-// many whole/partial successor tasks as fit. Only stream end yields a short
-// batch, which keeps the merged batch stream — not just the row stream —
-// identical to a serial operator's and is what the partial-final-batch
-// regression test pins.
+// nextBatch emits the merged stream: the current task's buffered rows,
+// then the next task in sequence — waiting on the results channel until
+// that task completes; a worker error surfaces as soon as its result
+// arrives. Task outputs rarely align with the batch (a morsel yields
+// pages×rows-per-page rows), so the fill continues across task boundaries:
+// the current task's remainder, then as many whole/partial successor tasks
+// as fit. Only stream end yields a short batch, which keeps the merged
+// batch stream — not just the row stream — identical to a serial
+// operator's and is what the partial-final-batch regression test pins.
 func (c *exchangeCore) nextBatch(b *RowBatch) (int, error) {
 	if !c.launched && c.started {
 		c.launch()
 	}
 	n := 0
-	for n < BatchCapacity {
+	for n < len(b.Rows) {
 		if c.err != nil {
 			return 0, c.err
 		}
@@ -344,9 +312,9 @@ type exchangeScanOp struct {
 	varName string
 	minus   []string
 	closure bool
-	pred    expr.Expr              // nil for a bare BIND
-	funcs   *funcmgr.QueryRegistry // nil in row mode: interpret
-	predFn  expr.PredFn            // self-mode compiled predicate, shared read-only by workers
+	pred    expr.Expr // nil for a bare BIND
+	funcs   *funcmgr.QueryRegistry
+	predFn  expr.PredFn // self-mode compiled predicate, shared read-only by workers; nil → interpret
 }
 
 func (o *exchangeScanOp) Open() error {
@@ -354,7 +322,7 @@ func (o *exchangeScanOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if o.pred != nil && o.funcs != nil {
+	if o.pred != nil {
 		o.predFn, _ = o.funcs.Predicate(o.varName, o.pred)
 	}
 	resolve := o.alg.Cat.Resolver()
@@ -398,13 +366,12 @@ func (o *exchangeScanOp) Open() error {
 	})
 }
 
-func (o *exchangeScanOp) Next() (algebra.Row, bool, error)   { return o.core.nextRow() }
 func (o *exchangeScanOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
 func (o *exchangeScanOp) Close() error                       { o.core.closeCore(); return nil }
 func (o *exchangeScanOp) WorkerStats() []WorkerStat          { return o.core.workerStats() }
 
 func (o *exchangeScanOp) compiledPredicate() (active, full bool) {
-	return o.pred != nil && o.funcs != nil, o.predFn != nil
+	return o.pred != nil, o.predFn != nil
 }
 
 // exchangeIndSelOp is the parallel index selection: the index probe runs
@@ -456,7 +423,6 @@ func (o *exchangeIndSelOp) Open() error {
 	})
 }
 
-func (o *exchangeIndSelOp) Next() (algebra.Row, bool, error)   { return o.core.nextRow() }
 func (o *exchangeIndSelOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
 func (o *exchangeIndSelOp) Close() error                       { o.core.closeCore(); return nil }
 func (o *exchangeIndSelOp) WorkerStats() []WorkerStat          { return o.core.workerStats() }
@@ -476,26 +442,18 @@ type exchangeHashJoinOp struct {
 }
 
 func (o *exchangeHashJoinOp) Open() error {
-	lc, err := drainOp(o.left.op, o.left.hdr)
+	lc, err := o.left.drain()
 	if err != nil {
 		return err
 	}
-	rc, err := drainOp(o.right.op, o.right.hdr)
+	rc, err := o.right.drain()
 	if err != nil {
 		return err
 	}
 	rightBy := algebra.RowsByOID(rc, o.rightVar)
-	partitions := make(map[storage.OID][]algebra.Row)
-	for i := range lc.Rows {
-		lrow := lc.Rows[i]
-		lb := lrow.Vars[o.leftVar]
-		if err := o.alg.MaterializeBound(&lb); err != nil {
-			return err
-		}
-		lrow.Vars[o.leftVar] = lb
-		for _, ref := range algebra.RefsOf(lb.Val, o.attr) {
-			partitions[ref] = append(partitions[ref], lrow)
-		}
+	partitions, err := partitionByRef(o.alg, lc, o.leftVar, o.attr)
+	if err != nil {
+		return err
 	}
 	refs := make([]storage.OID, 0, len(partitions))
 	for ref := range partitions {
@@ -543,7 +501,6 @@ func (o *exchangeHashJoinOp) Open() error {
 	})
 }
 
-func (o *exchangeHashJoinOp) Next() (algebra.Row, bool, error)   { return o.core.nextRow() }
 func (o *exchangeHashJoinOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
 
 func (o *exchangeHashJoinOp) Close() error {
@@ -583,16 +540,12 @@ func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *a
 			return e.compileNode(n.Input, an)
 		}
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: bp.Var, Class: bp.Class}
-		xs := &exchangeScanOp{
+		c.op = &exchangeScanOp{
 			core: exchangeCore{workers: workers, eager: eager},
 			alg:  e.Alg, class: bp.Class, varName: bp.Var,
 			minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0,
-			pred: in.Pred,
+			pred: in.Pred, funcs: e.queryFuncs(),
 		}
-		if !e.RowMode {
-			xs.funcs = e.queryFuncs()
-		}
-		c.op = xs
 		return c, nil
 
 	case *optimizer.IndSelPlan:

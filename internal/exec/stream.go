@@ -17,8 +17,8 @@ import (
 )
 
 // This file is the streaming (pull-based, Volcano-style) execution path.
-// Compile lowers each Plan node into an optimizer.Operator; rows flow
-// upward one at a time through Next, so non-blocking operators never copy or
+// Compile lowers each Plan node into an Operator; rows flow upward a batch
+// at a time through NextBatch, so non-blocking operators never copy or
 // buffer intermediate collections and a consumer that stops early stops the
 // leaves from reading further pages. Blocking operators — sort, group,
 // dup-elim, and the build sides of the join strategies — drain their inputs
@@ -29,57 +29,39 @@ import (
 // kernel golden suite hold the two paths equal.
 
 // Execute runs a plan through the streaming pipeline and materializes the
-// result, preserving the seed executor's *algebra.Collection API. The
-// pipeline is driven batch-at-a-time (see batch.go) unless RowMode pins the
-// executor to the row-at-a-time baseline.
+// result, preserving the seed executor's *algebra.Collection API.
 func (e *Executor) Execute(p optimizer.Plan) (*algebra.Collection, error) {
 	root, err := e.compileNode(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	if e.RowMode {
-		return drainRows(root.op, root.hdr)
-	}
-	return drainOp(root.op, root.hdr)
+	return root.drain()
 }
 
 // Compile lowers a plan into a physical-operator pipeline without running
-// it. The caller owns the lifecycle: Open, Next until exhausted, Close.
-func (e *Executor) Compile(p optimizer.Plan) (optimizer.PhysicalOperator, error) {
+// it, behind the root row cursor. The caller owns the lifecycle: Open, Next
+// until exhausted, Close.
+func (e *Executor) Compile(p optimizer.Plan) (*Cursor, error) {
 	root, err := e.compileNode(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &rootOp{op: root.op, hdr: root.hdr}, nil
+	return &Cursor{root: root.op, hdr: root.hdr}, nil
 }
 
-type rootOp struct {
-	op  optimizer.Operator
-	hdr optimizer.Header
-}
-
-func (r *rootOp) Open() error                      { return r.op.Open() }
-func (r *rootOp) Next() (algebra.Row, bool, error) { return r.op.Next() }
-func (r *rootOp) NextBatch(b *RowBatch) (int, error) {
-	return nextBatch(r.op, b)
-}
-func (r *rootOp) Close() error             { return r.op.Close() }
-func (r *rootOp) Header() optimizer.Header { return r.hdr }
-
-// drainOp materializes an operator's stream under the compile-time header,
-// driving the pipeline batch-at-a-time (batch-native operators produce
-// vectors; row-only ones go through the adapter).
-func drainOp(op optimizer.Operator, hdr optimizer.Header) (*algebra.Collection, error) {
-	out := &algebra.Collection{Kind: hdr.Kind, Name: hdr.Name, Class: hdr.Class}
-	if err := op.Open(); err != nil {
-		op.Close()
+// drain materializes a compiled operator's stream under its compile-time
+// header, a full batch at a time.
+func (c *compiled) drain() (*algebra.Collection, error) {
+	out := &algebra.Collection{Kind: c.hdr.Kind, Name: c.hdr.Name, Class: c.hdr.Class}
+	if err := c.op.Open(); err != nil {
+		c.op.Close()
 		return nil, err
 	}
-	b := &RowBatch{}
+	b := newRowBatch(BatchCapacity)
 	for {
-		n, err := nextBatch(op, b)
+		n, err := c.op.NextBatch(b)
 		if err != nil {
-			op.Close()
+			c.op.Close()
 			return nil, err
 		}
 		if n == 0 {
@@ -87,31 +69,7 @@ func drainOp(op optimizer.Operator, hdr optimizer.Header) (*algebra.Collection, 
 		}
 		out.Rows = append(out.Rows, b.Rows[:n]...)
 	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// drainRows is drainOp's row-at-a-time twin, used in RowMode.
-func drainRows(op optimizer.Operator, hdr optimizer.Header) (*algebra.Collection, error) {
-	out := &algebra.Collection{Kind: hdr.Kind, Name: hdr.Name, Class: hdr.Class}
-	if err := op.Open(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	if err := op.Close(); err != nil {
+	if err := c.op.Close(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -123,8 +81,8 @@ func drainRows(op optimizer.Operator, hdr optimizer.Header) (*algebra.Collection
 // operator underneath.
 type compiled struct {
 	plan  optimizer.Plan
-	op    optimizer.Operator
-	raw   optimizer.Operator
+	op    Operator
+	raw   Operator
 	hdr   optimizer.Header
 	stats *opStats // non-nil when compiled for EXPLAIN ANALYZE
 	kids  []*compiled
@@ -153,14 +111,10 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 
 	case *optimizer.IndSelPlan:
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: n.Var, Class: n.Class}
-		iop := &indSelOp{
+		c.op = &indSelOp{
 			alg: e.Alg, class: n.Class, varName: n.Var,
-			indexKind: n.Index.Kind, pred: n.Pred,
+			indexKind: n.Index.Kind, pred: n.Pred, funcs: e.queryFuncs(),
 		}
-		if !e.RowMode {
-			iop.funcs = e.queryFuncs()
-		}
-		c.op = iop
 
 	case *optimizer.IntersectPlan:
 		// Every input is an IndSelPlan by construction (the optimizer only
@@ -168,7 +122,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		// without fetching objects; the intersect fetches each surviving OID
 		// once and re-checks every input's predicate against it. An empty
 		// intersection therefore costs only the index probes.
-		kids := make([]optimizer.Operator, 0, len(n.Inputs))
+		kids := make([]*compiled, 0, len(n.Inputs))
 		rechecks := make([]expr.Expr, 0, len(n.Inputs))
 		for _, in := range n.Inputs {
 			isp, ok := in.(*optimizer.IndSelPlan)
@@ -180,7 +134,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				return nil, err
 			}
 			k.raw.(withCandidatesOnly).candidatesOnly()
-			kids = append(kids, k.op)
+			kids = append(kids, k)
 			rechecks = append(rechecks, e.Alg.RecheckExpr(isp.Var, isp.Pred))
 		}
 		first := n.Inputs[0].(*optimizer.IndSelPlan)
@@ -188,7 +142,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		c.op = &intersectOp{alg: e.Alg, kids: kids, varName: first.Var, rechecks: rechecks}
 
 	case *optimizer.SelectPlan:
-		if bp, ok := n.Input.(*optimizer.BindPlan); ok && !e.RowMode {
+		if bp, ok := n.Input.(*optimizer.BindPlan); ok {
 			// Fused scan-selection (the serial analogue of the exchange
 			// path's fused morsel scan): the predicate runs against each
 			// object straight off the extent cursor, through the self-mode
@@ -209,10 +163,8 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			return nil, err
 		}
 		c.hdr = in.hdr
-		sel := &selectOp{in: in.op, pred: n.Pred, re: e.Alg.NewRowEvaluator()}
-		if !e.RowMode {
-			sel.fn, sel.full = e.queryFuncs().BoolFn(n.Pred)
-		}
+		sel := &selectOp{in: in.op, re: e.Alg.NewRowEvaluator()}
+		sel.fn, sel.full = e.queryFuncs().BoolFn(n.Pred)
 		c.op = sel
 
 	case *optimizer.JoinPlan:
@@ -246,7 +198,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				pred:       pred,
 				re:         e.Alg.NewRowEvaluator(),
 			}
-			if pred != nil && !e.RowMode {
+			if pred != nil {
 				op.predFn, op.compiled = e.queryFuncs().Predicate(bp.Var, pred)
 			}
 			c.op = op
@@ -315,19 +267,18 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			return nil, err
 		}
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: in.hdr.Name, Class: in.hdr.Class}
-		pop := &projectOp{in: in.op, items: n.Items, re: e.Alg.NewRowEvaluator()}
-		if !e.RowMode {
-			pop.fns = make([]expr.Fn, len(n.Items))
-			pop.full = true
-			for i, it := range n.Items {
-				if it.Expr == nil { // star/aggregate items never reach Next
-					pop.full = false
-					continue
-				}
-				var ok bool
-				pop.fns[i], ok = e.queryFuncs().Fn(it.Expr)
-				pop.full = pop.full && ok
+		pop := &projectOp{
+			in: in.op, items: n.Items, re: e.Alg.NewRowEvaluator(),
+			fns: make([]expr.Fn, len(n.Items)), full: true,
+		}
+		for i, it := range n.Items {
+			if it.Expr == nil { // star/aggregate items never reach the projection
+				pop.full = false
+				continue
 			}
+			var ok bool
+			pop.fns[i], ok = e.queryFuncs().Fn(it.Expr)
+			pop.full = pop.full && ok
 		}
 		c.op = pop
 
@@ -406,19 +357,11 @@ func (o *bindOp) Open() error {
 	return nil
 }
 
-func (o *bindOp) Next() (algebra.Row, bool, error) {
-	oid, v, ok, err := o.cur.Next()
-	if err != nil || !ok {
-		return algebra.Row{}, false, err
-	}
-	return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}, true, nil
-}
-
 // NextBatch pulls straight from the extent cursor; the cursor reads pages
 // on demand, so a partially consumed batch never over-reads.
 func (o *bindOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < BatchCapacity {
+	for n < len(b.Rows) {
 		oid, v, ok, err := o.cur.Next()
 		if err != nil {
 			return 0, err
@@ -444,8 +387,8 @@ func (o *bindOp) Close() error {
 // so non-matching objects cost neither a Vars map allocation nor an
 // environment bind. When the predicate lowers to self mode (compiled
 // through the Function Manager's query registry) the per-object check is a
-// direct closure call; otherwise the row is built and the interpreter path
-// of selectOp runs unchanged.
+// direct closure call pushed into the cursor; otherwise (method calls) the
+// row is built and the predicate interpreted.
 type scanSelectOp struct {
 	alg      *algebra.Algebra
 	class    string
@@ -453,9 +396,8 @@ type scanSelectOp struct {
 	minus    []string
 	closure  bool
 	pred     expr.Expr
-	predFn   expr.PredFn // self-mode compiled; nil → fallback through re
+	predFn   expr.PredFn // self-mode compiled; nil → interpret through re
 	compiled bool
-	pushed   bool // predicate filtering happens inside the cursor
 	re       *algebra.RowEvaluator
 	resolve  object.Resolver
 	cur      *catalog.ExtentCursor
@@ -476,43 +418,13 @@ func (o *scanSelectOp) Open() error {
 		cur.SetFilter(func(oid storage.OID, v *object.Value) (bool, error) {
 			return o.predFn(v, oid, o.resolve)
 		})
-		o.pushed = true
 	}
 	return nil
 }
 
-// keep evaluates the predicate against one scanned object in place; v is
-// read-only and only valid for the duration of the call (it aliases the
-// cursor's buffer).
-func (o *scanSelectOp) keep(oid storage.OID, v *object.Value) (bool, error) {
-	if o.predFn != nil {
-		return o.predFn(v, oid, o.resolve)
-	}
-	row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}
-	return o.re.EvalBool(row, o.pred)
-}
-
-func (o *scanSelectOp) Next() (algebra.Row, bool, error) {
-	for {
-		oid, v, ok, err := o.cur.NextRef()
-		if err != nil || !ok {
-			return algebra.Row{}, false, err
-		}
-		keep := o.pushed // cursor-filtered objects already passed
-		if !keep {
-			if keep, err = o.keep(oid, v); err != nil {
-				return algebra.Row{}, false, err
-			}
-		}
-		if keep {
-			return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}, true, nil
-		}
-	}
-}
-
 func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < BatchCapacity {
+	for n < len(b.Rows) {
 		oid, v, ok, err := o.cur.NextRef()
 		if err != nil {
 			return 0, err
@@ -520,16 +432,18 @@ func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 		if !ok {
 			break
 		}
-		keep := o.pushed // cursor-filtered objects already passed
-		if !keep {
-			if keep, err = o.keep(oid, v); err != nil {
+		row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}
+		if o.predFn == nil { // cursor-filtered objects already passed
+			keep, err := o.re.EvalBool(row, o.pred)
+			if err != nil {
 				return 0, err
 			}
+			if !keep {
+				continue
+			}
 		}
-		if keep {
-			b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}
-			n++
-		}
+		b.Rows[n] = row
+		n++
 	}
 	return n, nil
 }
@@ -551,8 +465,8 @@ func (o *scanSelectOp) compiledPredicate() (active, full bool) {
 type withCandidatesOnly interface{ candidatesOnly() }
 
 // indSelOp is INDSEL(Class, var, index, P): the index probe happens at
-// Open, object fetches and the predicate re-check stream per Next. In
-// candidates-only mode Next emits the probed OIDs without fetching.
+// Open, object fetches and the predicate re-check stream per NextBatch. In
+// candidates-only mode it emits the probed OIDs without fetching.
 type indSelOp struct {
 	alg       *algebra.Algebra
 	class     string
@@ -560,12 +474,12 @@ type indSelOp struct {
 	indexKind catalog.IndexKind
 	pred      algebra.SimplePredicate
 	probeOnly bool
-	funcs     *funcmgr.QueryRegistry // nil in row mode: interpret the recheck
+	funcs     *funcmgr.QueryRegistry
 
 	oids    []storage.OID
 	i       int
 	recheck expr.Expr
-	predFn  expr.PredFn
+	predFn  expr.PredFn // nil → interpret the recheck through re
 	resolve object.Resolver
 	re      *algebra.RowEvaluator
 }
@@ -581,59 +495,41 @@ func (o *indSelOp) Open() error {
 	if !o.probeOnly {
 		o.recheck = o.alg.RecheckExpr(o.varName, o.pred)
 		o.re = o.alg.NewRowEvaluator()
-		if o.funcs != nil {
-			o.predFn, _ = o.funcs.Predicate(o.varName, o.recheck)
-			o.resolve = o.alg.Cat.Resolver()
-		}
+		o.predFn, _ = o.funcs.Predicate(o.varName, o.recheck)
+		o.resolve = o.alg.Cat.Resolver()
 	}
 	return nil
 }
 
-// step emits the next surviving candidate. Object fetches stay one GetObject
-// per candidate in both row and batch mode, so the index path's page access
-// pattern (and the DiskSim counts tests pin) is identical across modes.
-func (o *indSelOp) step() (algebra.Row, bool, error) {
-	for o.i < len(o.oids) {
-		oid := o.oids[o.i]
-		o.i++
-		if o.probeOnly {
-			return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}, true, nil
-		}
-		v, _, err := o.alg.Cat.GetObject(oid)
-		if err != nil {
-			return algebra.Row{}, false, err
-		}
-		var ok bool
-		if o.predFn != nil {
-			ok, err = o.predFn(&v, oid, o.resolve)
-		} else {
-			row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
-			ok, err = o.re.EvalBool(row, o.recheck)
-		}
-		if err != nil {
-			return algebra.Row{}, false, err
-		}
-		if ok {
-			// Match IndSel: emitted rows carry the identifier only.
-			return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}, true, nil
-		}
-	}
-	return algebra.Row{}, false, nil
-}
-
-func (o *indSelOp) Next() (algebra.Row, bool, error) { return o.step() }
-
+// NextBatch fetches one candidate per GetObject, so the index path's page
+// access pattern (and the DiskSim counts tests pin) does not depend on the
+// batch size.
 func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < BatchCapacity {
-		row, ok, err := o.step()
-		if err != nil {
-			return 0, err
+	for n < len(b.Rows) && o.i < len(o.oids) {
+		oid := o.oids[o.i]
+		o.i++
+		if !o.probeOnly {
+			v, _, err := o.alg.Cat.GetObject(oid)
+			if err != nil {
+				return 0, err
+			}
+			var ok bool
+			if o.predFn != nil {
+				ok, err = o.predFn(&v, oid, o.resolve)
+			} else {
+				row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
+				ok, err = o.re.EvalBool(row, o.recheck)
+			}
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				continue
+			}
 		}
-		if !ok {
-			break
-		}
-		b.Rows[n] = row
+		// Match IndSel: emitted rows carry the identifier only.
+		b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
 		n++
 	}
 	return n, nil
@@ -642,17 +538,17 @@ func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 func (o *indSelOp) Close() error { return nil }
 
 func (o *indSelOp) compiledPredicate() (active, full bool) {
-	return !o.probeOnly && o.funcs != nil, o.predFn != nil
+	return !o.probeOnly, o.predFn != nil
 }
 
 // intersectOp intersects its children's candidate OID streams at Open (index
-// probes only), then fetches each surviving object once per Next and
-// re-checks every input's predicate. The materializing path fetches every
-// candidate of every input; here an OID eliminated by the intersection is
-// never fetched, and an empty intersection short-circuits to zero fetches.
+// probes only), then fetches each surviving object once and re-checks every
+// input's predicate. The materializing path fetches every candidate of every
+// input; here an OID eliminated by the intersection is never fetched, and an
+// empty intersection short-circuits to zero fetches.
 type intersectOp struct {
 	alg      *algebra.Algebra
-	kids     []optimizer.Operator
+	kids     []*compiled
 	varName  string
 	rechecks []expr.Expr
 
@@ -665,34 +561,21 @@ func (o *intersectOp) Open() error {
 	var first []storage.OID
 	var rest []map[storage.OID]bool
 	for ki, kid := range o.kids {
-		if err := kid.Open(); err != nil {
+		cands, err := kid.drain()
+		if err != nil {
 			return err
 		}
-		var set map[storage.OID]bool
-		if ki > 0 {
-			set = map[storage.OID]bool{}
-		}
-		for {
-			row, ok, err := kid.Next()
-			if err != nil {
-				return err
+		if ki == 0 {
+			for _, row := range cands.Rows {
+				first = append(first, row.Vars[o.varName].OID)
 			}
-			if !ok {
-				break
-			}
-			oid := row.Vars[o.varName].OID
-			if ki == 0 {
-				first = append(first, oid)
-			} else {
-				set[oid] = true
-			}
+			continue
 		}
-		if err := kid.Close(); err != nil {
-			return err
+		set := make(map[storage.OID]bool, len(cands.Rows))
+		for _, row := range cands.Rows {
+			set[row.Vars[o.varName].OID] = true
 		}
-		if ki > 0 {
-			rest = append(rest, set)
-		}
+		rest = append(rest, set)
 	}
 	// Surviving candidates keep the first input's probe order, matching the
 	// materializing Intersection (which preserves its x argument's order).
@@ -712,103 +595,74 @@ func (o *intersectOp) Open() error {
 	return nil
 }
 
-func (o *intersectOp) Next() (algebra.Row, bool, error) {
-	for o.i < len(o.oids) {
+func (o *intersectOp) NextBatch(b *RowBatch) (int, error) {
+	n := 0
+next:
+	for n < len(b.Rows) && o.i < len(o.oids) {
 		oid := o.oids[o.i]
 		o.i++
 		v, _, err := o.alg.Cat.GetObject(oid)
 		if err != nil {
-			return algebra.Row{}, false, err
+			return 0, err
 		}
-		row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
-		env, err := o.re.Env(row)
+		env, err := o.re.Env(algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}})
 		if err != nil {
-			return algebra.Row{}, false, err
+			return 0, err
 		}
-		pass := true
 		for _, p := range o.rechecks {
 			ok, err := expr.EvalBool(p, env)
 			if err != nil {
-				return algebra.Row{}, false, err
+				return 0, err
 			}
 			if !ok {
-				pass = false
-				break
+				continue next
 			}
 		}
-		if pass {
-			return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}, true, nil
-		}
+		b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
+		n++
 	}
-	return algebra.Row{}, false, nil
+	return n, nil
 }
 
 func (o *intersectOp) Close() error {
 	for _, kid := range o.kids {
-		kid.Close()
+		kid.op.Close()
 	}
 	return nil
 }
 
 // --- streaming filters ----------------------------------------------------
 
-// selectOp is SELECT(input, P): a pure streaming filter. Outside row mode
-// the predicate runs as a compiled closure against the evaluator's bound
-// environment — identical semantics, no tree walk when it fully lowered.
+// selectOp is SELECT(input, P): a pure streaming filter. The predicate runs
+// as a compiled closure against the evaluator's bound environment; subtrees
+// that do not lower (method calls) interpret inside it.
 type selectOp struct {
-	in   optimizer.Operator
-	pred expr.Expr
+	in   Operator
 	re   *algebra.RowEvaluator
-	fn   expr.BoolFn // nil in row mode: interpret
+	fn   expr.BoolFn
 	full bool
-
-	scratch *RowBatch // child-side buffer for NextBatch's filter pass
 }
 
 func (o *selectOp) Open() error { return o.in.Open() }
 
-func (o *selectOp) keep(row algebra.Row) (bool, error) {
-	if o.fn == nil {
-		return o.re.EvalBool(row, o.pred)
-	}
-	return o.re.EvalPred(row, o.fn)
-}
-
-func (o *selectOp) Next() (algebra.Row, bool, error) {
-	for {
-		row, ok, err := o.in.Next()
-		if err != nil || !ok {
-			return algebra.Row{}, false, err
-		}
-		keep, err := o.keep(row)
-		if err != nil {
-			return algebra.Row{}, false, err
-		}
-		if keep {
-			return row, true, nil
-		}
-	}
-}
-
-// NextBatch filters child batches into b, pulling more input until at least
-// one row survives or the input ends (a 0 return means exhaustion).
+// NextBatch filters the child's batch in place, pulling more input until at
+// least one row survives or the input ends (a 0 return means exhaustion).
+// Asking the child for len(b.Rows) rows never consumes input past the last
+// row a full b needs.
 func (o *selectOp) NextBatch(b *RowBatch) (int, error) {
-	if o.scratch == nil {
-		o.scratch = &RowBatch{}
-	}
 	for {
-		n, err := nextBatch(o.in, o.scratch)
+		n, err := o.in.NextBatch(b)
 		if err != nil || n == 0 {
 			return 0, err
 		}
 		w := 0
-		for i := 0; i < n; i++ {
-			keep, err := o.keep(o.scratch.Rows[i])
+		for _, row := range b.Rows[:n] {
+			keep, err := o.re.EvalPred(row, o.fn)
 			if err != nil {
 				return 0, err
 			}
 			if keep {
-				b.Rows[w] = o.scratch.Rows[i]
+				b.Rows[w] = row
 				w++
 			}
 		}
@@ -820,19 +674,16 @@ func (o *selectOp) NextBatch(b *RowBatch) (int, error) {
 
 func (o *selectOp) Close() error { return o.in.Close() }
 
-func (o *selectOp) compiledPredicate() (active, full bool) {
-	return o.fn != nil, o.fn != nil && o.full
-}
+func (o *selectOp) compiledPredicate() (active, full bool) { return true, o.full }
 
 // projectOp evaluates the projection list per row, attaching the tuple
-// under ResultVar. Outside row mode the item expressions run as compiled
-// closures.
+// under ResultVar. The item expressions run as compiled closures.
 type projectOp struct {
-	in    optimizer.Operator
+	in    Operator
 	items []sql.ProjItem
 	re    *algebra.RowEvaluator
 	names []string
-	fns   []expr.Fn // nil in row mode; per-item compiled forms
+	fns   []expr.Fn // per-item compiled forms; nil for star/aggregate items
 	full  bool
 }
 
@@ -844,57 +695,36 @@ func (o *projectOp) Open() error {
 	return o.in.Open()
 }
 
-// apply projects one row into its output row.
-func (o *projectOp) apply(row algebra.Row) (algebra.Row, error) {
-	env, err := o.re.Env(row)
-	if err != nil {
-		return algebra.Row{}, err
-	}
-	fields := make([]object.Value, len(o.items))
-	for i, it := range o.items {
-		var v object.Value
-		if o.fns != nil && o.fns[i] != nil {
-			v, err = o.fns[i](env)
-		} else {
-			v, err = it.Expr.Eval(env)
-		}
-		if err != nil {
-			return algebra.Row{}, err
-		}
-		fields[i] = v
-	}
-	nr := algebra.Row{Vars: map[string]algebra.Bound{}}
-	for k, v := range row.Vars {
-		nr.Vars[k] = v
-	}
-	nr.Vars[ResultVar] = algebra.Bound{Val: object.NewTuple(o.names, fields)}
-	return nr, nil
-}
-
-func (o *projectOp) Next() (algebra.Row, bool, error) {
-	row, ok, err := o.in.Next()
-	if err != nil || !ok {
-		return algebra.Row{}, false, err
-	}
-	nr, err := o.apply(row)
-	if err != nil {
-		return algebra.Row{}, false, err
-	}
-	return nr, true, nil
-}
-
 // NextBatch transforms the child's batch in place — projection is 1:1, so
 // the child's count is the output count.
 func (o *projectOp) NextBatch(b *RowBatch) (int, error) {
-	n, err := nextBatch(o.in, b)
+	n, err := o.in.NextBatch(b)
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	for i := 0; i < n; i++ {
-		nr, err := o.apply(b.Rows[i])
+	for i, row := range b.Rows[:n] {
+		env, err := o.re.Env(row)
 		if err != nil {
 			return 0, err
 		}
+		fields := make([]object.Value, len(o.items))
+		for j, it := range o.items {
+			var v object.Value
+			if o.fns[j] != nil {
+				v, err = o.fns[j](env)
+			} else {
+				v, err = it.Expr.Eval(env)
+			}
+			if err != nil {
+				return 0, err
+			}
+			fields[j] = v
+		}
+		nr := algebra.Row{Vars: make(map[string]algebra.Bound, len(row.Vars)+1)}
+		for k, v := range row.Vars {
+			nr.Vars[k] = v
+		}
+		nr.Vars[ResultVar] = algebra.Bound{Val: object.NewTuple(o.names, fields)}
 		b.Rows[i] = nr
 	}
 	return n, nil
@@ -902,9 +732,7 @@ func (o *projectOp) NextBatch(b *RowBatch) (int, error) {
 
 func (o *projectOp) Close() error { return o.in.Close() }
 
-func (o *projectOp) compiledPredicate() (active, full bool) {
-	return o.fns != nil, o.fns != nil && o.full
-}
+func (o *projectOp) compiledPredicate() (active, full bool) { return true, o.full }
 
 // --- pipeline breakers ----------------------------------------------------
 
@@ -918,7 +746,7 @@ type breakerOp struct {
 }
 
 func (o *breakerOp) Open() error {
-	coll, err := drainOp(o.in.op, o.in.hdr)
+	coll, err := o.in.drain()
 	if err != nil {
 		return err
 	}
@@ -930,19 +758,9 @@ func (o *breakerOp) Open() error {
 	return nil
 }
 
-func (o *breakerOp) Next() (algebra.Row, bool, error) {
-	if o.i >= len(o.out) {
-		return algebra.Row{}, false, nil
-	}
-	row := o.out[o.i]
-	o.i++
-	return row, true, nil
-}
-
-// NextBatch copies a run of the materialized result — breakers consume
-// batches at Open (via drainOp) and re-emit them here.
+// NextBatch copies a run of the materialized result.
 func (o *breakerOp) NextBatch(b *RowBatch) (int, error) {
-	n := copy(b.Rows[:], o.out[o.i:])
+	n := copy(b.Rows, o.out[o.i:])
 	o.i += n
 	return n, nil
 }
@@ -951,9 +769,9 @@ func (o *breakerOp) Close() error { return o.in.op.Close() }
 
 // --- joins ----------------------------------------------------------------
 
-// joinBase carries the fields shared by the four join strategies. pending
-// buffers the merged rows one driving-side row produced (a single left row
-// can match several right rows).
+// joinBase carries the fields shared by the join strategies. pending
+// buffers the merged rows one production step made (a single driving row
+// can match several rows on the other side).
 type joinBase struct {
 	alg         *algebra.Algebra
 	left, right *compiled
@@ -963,20 +781,31 @@ type joinBase struct {
 
 	pending []algebra.Row
 	pi      int
+	sub     RowBatch // the sub-batch a strategy pulls its streaming input into
 }
 
-func (j *joinBase) take() (algebra.Row, bool) {
-	if j.pi < len(j.pending) {
-		row := j.pending[j.pi]
-		j.pi++
-		return row, true
+// fill is every join's NextBatch: it moves pending rows into b and calls
+// produce for the next step only while b has room, so a join does no more
+// reading than the batch it was handed needs. produce appends to pending
+// and reports false once the join is exhausted.
+func (j *joinBase) fill(b *RowBatch, produce func() (bool, error)) (int, error) {
+	n := 0
+	for {
+		k := copy(b.Rows[n:], j.pending[j.pi:])
+		j.pi += k
+		n += k
+		if n == len(b.Rows) {
+			return n, nil
+		}
+		j.pending, j.pi = j.pending[:0], 0
+		more, err := produce()
+		if err != nil {
+			return 0, err
+		}
+		if !more {
+			return n, nil
+		}
 	}
-	return algebra.Row{}, false
-}
-
-func (j *joinBase) refill() {
-	j.pending = j.pending[:0]
-	j.pi = 0
 }
 
 func (j *joinBase) Close() error {
@@ -996,9 +825,10 @@ const joinBatchRows = 64
 
 // forwardJoinOp streams the left side and chases each reference (the
 // paper's forward traversal); the right side is the build side, drained at
-// Open into an OID-keyed hash. The left side is consumed in small batches:
-// each batch's distinct references resolve through one page-ordered
-// GetObjects call instead of a random dereference per occurrence.
+// Open into an OID-keyed hash. The left side is consumed joinBatchRows rows
+// per step: each step's distinct references resolve through one
+// page-ordered GetObjects call instead of a random dereference per
+// occurrence.
 type forwardJoinOp struct {
 	joinBase
 	rightBy map[storage.OID][]algebra.Row
@@ -1006,7 +836,7 @@ type forwardJoinOp struct {
 }
 
 func (o *forwardJoinOp) Open() error {
-	rc, err := drainOp(o.right.op, o.right.hdr)
+	rc, err := o.right.drain()
 	if err != nil {
 		return err
 	}
@@ -1014,67 +844,72 @@ func (o *forwardJoinOp) Open() error {
 	return o.left.op.Open()
 }
 
-func (o *forwardJoinOp) Next() (algebra.Row, bool, error) {
-	for {
-		if row, ok := o.take(); ok {
-			return row, true, nil
-		}
-		if o.eof {
-			return algebra.Row{}, false, nil
-		}
-		batch := make([]algebra.Row, 0, joinBatchRows)
-		batchRefs := make([][]storage.OID, 0, joinBatchRows)
-		for len(batch) < joinBatchRows {
-			lrow, ok, err := o.left.op.Next()
-			if err != nil {
-				return algebra.Row{}, false, err
-			}
-			if !ok {
-				o.eof = true
-				break
-			}
-			lb := lrow.Vars[o.leftVar]
-			if err := o.alg.MaterializeBound(&lb); err != nil {
-				return algebra.Row{}, false, err
-			}
-			lrow.Vars[o.leftVar] = lb
-			batch = append(batch, lrow)
-			batchRefs = append(batchRefs, algebra.RefsOf(lb.Val, o.attr))
-		}
-		// Chase the pointers: every distinct reference of the batch is
-		// dereferenced even if the right side later rejects the object, as
-		// in real forward traversal — but each only once per batch.
-		var refs []storage.OID
-		at := map[storage.OID]int{}
-		for _, rs := range batchRefs {
-			for _, ref := range rs {
-				if _, ok := at[ref]; !ok {
-					at[ref] = len(refs)
-					refs = append(refs, ref)
-				}
-			}
-		}
-		o.refill()
-		if len(refs) == 0 {
-			continue
-		}
-		vals, _, err := o.alg.Cat.GetObjects(refs)
+func (o *forwardJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
+
+// produce pulls the next joinBatchRows driving rows — asking the left side
+// for exactly the rows still missing, so it never reads past the step —
+// and resolves their references into pending.
+func (o *forwardJoinOp) produce() (bool, error) {
+	if o.eof {
+		return false, nil
+	}
+	batch := make([]algebra.Row, joinBatchRows)
+	n := 0
+	for n < joinBatchRows {
+		o.sub.Rows = batch[n:]
+		k, err := o.left.op.NextBatch(&o.sub)
 		if err != nil {
-			return algebra.Row{}, false, err
+			return false, err
 		}
-		for i, lrow := range batch {
-			for _, ref := range batchRefs[i] {
-				val := vals[at[ref]]
-				for _, rrow := range o.rightBy[ref] {
-					merged := lrow.Merged(rrow)
-					rb := merged.Vars[o.rightVar]
-					rb.Val = val
-					merged.Vars[o.rightVar] = rb
-					o.pending = append(o.pending, merged)
-				}
+		if k == 0 {
+			o.eof = true
+			break
+		}
+		n += k
+	}
+	batch = batch[:n]
+	batchRefs := make([][]storage.OID, n)
+	for i := range batch {
+		lb := batch[i].Vars[o.leftVar]
+		if err := o.alg.MaterializeBound(&lb); err != nil {
+			return false, err
+		}
+		batch[i].Vars[o.leftVar] = lb
+		batchRefs[i] = algebra.RefsOf(lb.Val, o.attr)
+	}
+	// Chase the pointers: every distinct reference of the step is
+	// dereferenced even if the right side later rejects the object, as in
+	// real forward traversal — but each only once per step.
+	var refs []storage.OID
+	at := map[storage.OID]int{}
+	for _, rs := range batchRefs {
+		for _, ref := range rs {
+			if _, ok := at[ref]; !ok {
+				at[ref] = len(refs)
+				refs = append(refs, ref)
 			}
 		}
 	}
+	if len(refs) == 0 {
+		return true, nil
+	}
+	vals, _, err := o.alg.Cat.GetObjects(refs)
+	if err != nil {
+		return false, err
+	}
+	for i, lrow := range batch {
+		for _, ref := range batchRefs[i] {
+			val := vals[at[ref]]
+			for _, rrow := range o.rightBy[ref] {
+				merged := lrow.Merged(rrow)
+				rb := merged.Vars[o.rightVar]
+				rb.Val = val
+				merged.Vars[o.rightVar] = rb
+				o.pending = append(o.pending, merged)
+			}
+		}
+	}
+	return true, nil
 }
 
 // backwardJoinOp scans the left class's extent closure sequentially,
@@ -1092,11 +927,11 @@ func (o *backwardJoinOp) Open() error {
 	if o.left.hdr.Class == "" {
 		return fmt.Errorf("algebra: backward traversal needs the left class")
 	}
-	lc, err := drainOp(o.left.op, o.left.hdr)
+	lc, err := o.left.drain()
 	if err != nil {
 		return err
 	}
-	rc, err := drainOp(o.right.op, o.right.hdr)
+	rc, err := o.right.drain()
 	if err != nil {
 		return err
 	}
@@ -1106,35 +941,33 @@ func (o *backwardJoinOp) Open() error {
 	return err
 }
 
-func (o *backwardJoinOp) Next() (algebra.Row, bool, error) {
-	for {
-		if row, ok := o.take(); ok {
-			return row, true, nil
-		}
-		oid, v, ok, err := o.cur.Next()
-		if err != nil || !ok {
-			return algebra.Row{}, false, err
-		}
-		lrows, inLeft := o.leftBy[oid]
-		if !inLeft {
+func (o *backwardJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
+
+// produce matches the next scanned object of the left extent.
+func (o *backwardJoinOp) produce() (bool, error) {
+	oid, v, ok, err := o.cur.Next()
+	if err != nil || !ok {
+		return false, err
+	}
+	lrows, inLeft := o.leftBy[oid]
+	if !inLeft {
+		return true, nil
+	}
+	for _, ref := range algebra.RefsOf(v, o.attr) {
+		rrows, hit := o.rightBy[ref]
+		if !hit {
 			continue
 		}
-		o.refill()
-		for _, ref := range algebra.RefsOf(v, o.attr) {
-			rrows, hit := o.rightBy[ref]
-			if !hit {
-				continue
-			}
-			for _, lrow := range lrows {
-				lb := lrow.Vars[o.leftVar]
-				lb.Val = v
-				lrow.Vars[o.leftVar] = lb
-				for _, rrow := range rrows {
-					o.pending = append(o.pending, lrow.Merged(rrow))
-				}
+		for _, lrow := range lrows {
+			lb := lrow.Vars[o.leftVar]
+			lb.Val = v
+			lrow.Vars[o.leftVar] = lb
+			for _, rrow := range rrows {
+				o.pending = append(o.pending, lrow.Merged(rrow))
 			}
 		}
 	}
+	return true, nil
 }
 
 func (o *backwardJoinOp) Close() error {
@@ -1145,7 +978,10 @@ func (o *backwardJoinOp) Close() error {
 }
 
 // bjiJoinOp streams the right side, probing the binary join index backward
-// from each right object; the left side is the build side.
+// from each right object; the left side is the build side. The right side
+// is pulled one row per probe, so its extent reads interleave with the
+// index reads exactly as the per-object probe of the paper's join-index
+// access does.
 type bjiJoinOp struct {
 	joinBase
 	index  *joinindex.BinaryJoinIndex
@@ -1157,7 +993,7 @@ func (o *bjiJoinOp) Open() error {
 		return fmt.Errorf("%w: binary join index for %s.%s",
 			algebra.ErrNoIndex, o.left.hdr.Class, o.attr)
 	}
-	lc, err := drainOp(o.left.op, o.left.hdr)
+	lc, err := o.left.drain()
 	if err != nil {
 		return err
 	}
@@ -1165,60 +1001,25 @@ func (o *bjiJoinOp) Open() error {
 	return o.right.op.Open()
 }
 
-// probe resolves one right row against the index into pending.
-func (o *bjiJoinOp) probe(rrow algebra.Row) error {
-	rb := rrow.Vars[o.rightVar]
-	sources, err := o.index.Backward(rb.OID)
-	if err != nil {
-		return err
+func (o *bjiJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
+
+// produce resolves the next right row against the index into pending.
+func (o *bjiJoinOp) produce() (bool, error) {
+	k, err := o.right.op.NextBatch(o.sub.sized(1))
+	if err != nil || k == 0 {
+		return false, err
 	}
-	o.refill()
+	rrow := o.sub.Rows[0]
+	sources, err := o.index.Backward(rrow.Vars[o.rightVar].OID)
+	if err != nil {
+		return false, err
+	}
 	for _, src := range sources {
 		for _, lrow := range o.leftBy[src] {
 			o.pending = append(o.pending, lrow.Merged(rrow))
 		}
 	}
-	return nil
-}
-
-func (o *bjiJoinOp) Next() (algebra.Row, bool, error) {
-	for {
-		if row, ok := o.take(); ok {
-			return row, true, nil
-		}
-		rrow, ok, err := o.right.op.Next()
-		if err != nil || !ok {
-			return algebra.Row{}, false, err
-		}
-		if err := o.probe(rrow); err != nil {
-			return algebra.Row{}, false, err
-		}
-	}
-}
-
-// NextBatch keeps the right side streaming while filling a batch of merged
-// rows; the per-right-row index probes (and so the read counts) are exactly
-// Next's.
-func (o *bjiJoinOp) NextBatch(b *RowBatch) (int, error) {
-	n := 0
-	for n < BatchCapacity {
-		if row, ok := o.take(); ok {
-			b.Rows[n] = row
-			n++
-			continue
-		}
-		rrow, ok, err := o.right.op.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		if err := o.probe(rrow); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
+	return true, nil
 }
 
 // hashJoinOp partitions the left rows on the pointer field at Open (the
@@ -1236,26 +1037,18 @@ type hashJoinOp struct {
 }
 
 func (o *hashJoinOp) Open() error {
-	lc, err := drainOp(o.left.op, o.left.hdr)
+	lc, err := o.left.drain()
 	if err != nil {
 		return err
 	}
-	rc, err := drainOp(o.right.op, o.right.hdr)
+	rc, err := o.right.drain()
 	if err != nil {
 		return err
 	}
 	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
-	o.partitions = make(map[storage.OID][]algebra.Row)
-	for i := range lc.Rows {
-		lrow := lc.Rows[i]
-		lb := lrow.Vars[o.leftVar]
-		if err := o.alg.MaterializeBound(&lb); err != nil {
-			return err
-		}
-		lrow.Vars[o.leftVar] = lb
-		for _, ref := range algebra.RefsOf(lb.Val, o.attr) {
-			o.partitions[ref] = append(o.partitions[ref], lrow)
-		}
+	o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr)
+	if err != nil {
+		return err
 	}
 	o.refs = make([]storage.OID, 0, len(o.partitions))
 	for ref := range o.partitions {
@@ -1267,23 +1060,47 @@ func (o *hashJoinOp) Open() error {
 	return nil
 }
 
-// produce dereferences the next sorted ref chunk into pending; more is
-// false when every chunk has been probed.
-func (o *hashJoinOp) produce() (more bool, err error) {
+// partitionByRef is the build phase shared by the hash-partition and fusion
+// joins (serial and parallel): each left row, materialized, lands in the
+// partition of every object its pointer field references.
+func partitionByRef(alg *algebra.Algebra, lc *algebra.Collection, leftVar, attr string) (map[storage.OID][]algebra.Row, error) {
+	partitions := make(map[storage.OID][]algebra.Row)
+	for _, lrow := range lc.Rows {
+		lb := lrow.Vars[leftVar]
+		if err := alg.MaterializeBound(&lb); err != nil {
+			return nil, err
+		}
+		lrow.Vars[leftVar] = lb
+		for _, ref := range algebra.RefsOf(lb.Val, attr) {
+			partitions[ref] = append(partitions[ref], lrow)
+		}
+	}
+	return partitions, nil
+}
+
+// nextChunk takes the next joinBatchRows refs off a sorted probe list.
+func nextChunk(refs []storage.OID, ri *int) []storage.OID {
+	end := *ri + joinBatchRows
+	if end > len(refs) {
+		end = len(refs)
+	}
+	chunk := refs[*ri:end]
+	*ri = end
+	return chunk
+}
+
+func (o *hashJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
+
+// produce dereferences the next sorted ref chunk into pending.
+func (o *hashJoinOp) produce() (bool, error) {
 	if o.ri >= len(o.refs) {
 		return false, nil
 	}
-	end := o.ri + joinBatchRows
-	if end > len(o.refs) {
-		end = len(o.refs)
-	}
-	chunk := o.refs[o.ri:end]
-	o.ri = end
+	chunk := nextChunk(o.refs, &o.ri)
 	vals, _, err := o.alg.Cat.GetObjects(chunk)
 	if err != nil {
 		return false, err
 	}
-	o.refill()
 	for i, ref := range chunk {
 		val := vals[i]
 		for _, lrow := range o.partitions[ref] {
@@ -1297,43 +1114,6 @@ func (o *hashJoinOp) produce() (more bool, err error) {
 		}
 	}
 	return true, nil
-}
-
-func (o *hashJoinOp) Next() (algebra.Row, bool, error) {
-	for {
-		if row, ok := o.take(); ok {
-			return row, true, nil
-		}
-		more, err := o.produce()
-		if err != nil {
-			return algebra.Row{}, false, err
-		}
-		if !more {
-			return algebra.Row{}, false, nil
-		}
-	}
-}
-
-// NextBatch drains pending probe output into b, producing further chunks
-// until the batch fills or the probe ends — the chunked page-ordered fetch
-// pattern (and so the read counts) is exactly Next's.
-func (o *hashJoinOp) NextBatch(b *RowBatch) (int, error) {
-	n := 0
-	for n < BatchCapacity {
-		if row, ok := o.take(); ok {
-			b.Rows[n] = row
-			n++
-			continue
-		}
-		more, err := o.produce()
-		if err != nil {
-			return 0, err
-		}
-		if !more {
-			break
-		}
-	}
-	return n, nil
 }
 
 // fusionRight recognizes the plan shapes a fusion join can absorb as its
@@ -1368,7 +1148,7 @@ type fusionJoinOp struct {
 	minus      []string
 	closure    bool
 	pred       expr.Expr   // nil → the right side was a bare bind
-	predFn     expr.PredFn // self-mode compiled; nil → fallback through re
+	predFn     expr.PredFn // self-mode compiled; nil → interpret through re
 	compiled   bool
 	re         *algebra.RowEvaluator
 	resolve    object.Resolver
@@ -1402,21 +1182,13 @@ func (o *fusionJoinOp) Open() error {
 		}
 	}
 	o.allowed = allowed
-	lc, err := drainOp(o.left.op, o.left.hdr)
+	lc, err := o.left.drain()
 	if err != nil {
 		return err
 	}
-	o.partitions = make(map[storage.OID][]algebra.Row)
-	for i := range lc.Rows {
-		lrow := lc.Rows[i]
-		lb := lrow.Vars[o.leftVar]
-		if err := o.alg.MaterializeBound(&lb); err != nil {
-			return err
-		}
-		lrow.Vars[o.leftVar] = lb
-		for _, ref := range algebra.RefsOf(lb.Val, o.attr) {
-			o.partitions[ref] = append(o.partitions[ref], lrow)
-		}
+	o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr)
+	if err != nil {
+		return err
 	}
 	o.refs = make([]storage.OID, 0, len(o.partitions))
 	for ref := range o.partitions {
@@ -1426,38 +1198,30 @@ func (o *fusionJoinOp) Open() error {
 	return nil
 }
 
-// keep evaluates the right-side predicate against one fetched referent.
-func (o *fusionJoinOp) keep(oid storage.OID, v *object.Value, rrow algebra.Row) (bool, error) {
-	if o.predFn != nil {
-		return o.predFn(v, oid, o.resolve)
-	}
-	return o.re.EvalBool(rrow, o.pred)
-}
+func (o *fusionJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
 
-// produce dereferences the next sorted referent chunk into pending; more is
-// false when every chunk has been fetched.
-func (o *fusionJoinOp) produce() (more bool, err error) {
+// produce dereferences the next sorted referent chunk into pending.
+func (o *fusionJoinOp) produce() (bool, error) {
 	if o.ri >= len(o.refs) {
 		return false, nil
 	}
-	end := o.ri + joinBatchRows
-	if end > len(o.refs) {
-		end = len(o.refs)
-	}
-	chunk := o.refs[o.ri:end]
-	o.ri = end
+	chunk := nextChunk(o.refs, &o.ri)
 	vals, names, err := o.alg.Cat.GetObjects(chunk)
 	if err != nil {
 		return false, err
 	}
-	o.refill()
 	for i, ref := range chunk {
 		if !o.allowed[names[i]] {
 			continue
 		}
 		rrow := algebra.Row{Vars: map[string]algebra.Bound{o.rightVar: {OID: ref, Val: vals[i]}}}
 		if o.pred != nil {
-			keep, err := o.keep(ref, &vals[i], rrow)
+			var keep bool
+			if o.predFn != nil {
+				keep, err = o.predFn(&vals[i], ref, o.resolve)
+			} else {
+				keep, err = o.re.EvalBool(rrow, o.pred)
+			}
 			if err != nil {
 				return false, err
 			}
@@ -1470,43 +1234,6 @@ func (o *fusionJoinOp) produce() (more bool, err error) {
 		}
 	}
 	return true, nil
-}
-
-func (o *fusionJoinOp) Next() (algebra.Row, bool, error) {
-	for {
-		if row, ok := o.take(); ok {
-			return row, true, nil
-		}
-		more, err := o.produce()
-		if err != nil {
-			return algebra.Row{}, false, err
-		}
-		if !more {
-			return algebra.Row{}, false, nil
-		}
-	}
-}
-
-// NextBatch mirrors hashJoinOp's: pending rows drain into b, further chunks
-// fetch on demand, and the chunked page-ordered pattern keeps read counts
-// identical to Next's.
-func (o *fusionJoinOp) NextBatch(b *RowBatch) (int, error) {
-	n := 0
-	for n < BatchCapacity {
-		if row, ok := o.take(); ok {
-			b.Rows[n] = row
-			n++
-			continue
-		}
-		more, err := o.produce()
-		if err != nil {
-			return 0, err
-		}
-		if !more {
-			break
-		}
-	}
-	return n, nil
 }
 
 // Close closes only the left child; the right side was absorbed, never
@@ -1532,13 +1259,12 @@ func (o *fusionJoinOp) accessPath() string   { return "fusion" }
 type crossOp struct {
 	left, right *compiled
 	rightRows   []algebra.Row
-	lrow        algebra.Row
-	haveL       bool
-	ri          int
+	lbuf        RowBatch // outer rows pulled and not yet fully expanded
+	ln, li, ri  int      // lbuf.Rows[li:ln] pending; ri indexes rightRows
 }
 
 func (o *crossOp) Open() error {
-	rc, err := drainOp(o.right.op, o.right.hdr)
+	rc, err := o.right.drain()
 	if err != nil {
 		return err
 	}
@@ -1546,19 +1272,37 @@ func (o *crossOp) Open() error {
 	return o.left.op.Open()
 }
 
-func (o *crossOp) Next() (algebra.Row, bool, error) {
-	for {
-		if o.haveL && o.ri < len(o.rightRows) {
-			row := o.lrow.Merged(o.rightRows[o.ri])
-			o.ri++
-			return row, true, nil
+// NextBatch expands outer rows against the inner side, pulling exactly the
+// outer rows the rest of b can hold (the last one perhaps only partly).
+func (o *crossOp) NextBatch(b *RowBatch) (int, error) {
+	n := 0
+	for n < len(b.Rows) {
+		if o.li < o.ln && len(o.rightRows) > 0 {
+			lrow := o.lbuf.Rows[o.li]
+			for o.ri < len(o.rightRows) && n < len(b.Rows) {
+				b.Rows[n] = lrow.Merged(o.rightRows[o.ri])
+				n++
+				o.ri++
+			}
+			if o.ri == len(o.rightRows) {
+				o.li, o.ri = o.li+1, 0
+			}
+			continue
 		}
-		lrow, ok, err := o.left.op.Next()
-		if err != nil || !ok {
-			return algebra.Row{}, false, err
+		need := len(b.Rows) - n
+		if r := len(o.rightRows); r > 0 {
+			need = (need + r - 1) / r
 		}
-		o.lrow, o.haveL, o.ri = lrow, true, 0
+		k, err := o.left.op.NextBatch(o.lbuf.sized(need))
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			break
+		}
+		o.ln, o.li = k, 0
 	}
+	return n, nil
 }
 
 func (o *crossOp) Close() error {
@@ -1578,6 +1322,7 @@ type unionOp struct {
 	ki     int
 	opened bool
 	seen   map[string]bool
+	sub    RowBatch
 }
 
 func (o *unionOp) Open() error {
@@ -1586,37 +1331,42 @@ func (o *unionOp) Open() error {
 	return o.kids[0].op.Open()
 }
 
-func (o *unionOp) Next() (algebra.Row, bool, error) {
-	for {
-		if o.ki >= len(o.kids) {
-			return algebra.Row{}, false, nil
-		}
-		row, ok, err := o.kids[o.ki].op.Next()
+// NextBatch pulls each child into the unfilled tail of b and compacts the
+// rows not seen before, so no child is read past what b can hold.
+func (o *unionOp) NextBatch(b *RowBatch) (int, error) {
+	n := 0
+	for n < len(b.Rows) && o.ki < len(o.kids) {
+		o.sub.Rows = b.Rows[n:]
+		k, err := o.kids[o.ki].op.NextBatch(&o.sub)
 		if err != nil {
-			return algebra.Row{}, false, err
+			return 0, err
 		}
-		if !ok {
+		if k == 0 {
 			if err := o.kids[o.ki].op.Close(); err != nil {
-				return algebra.Row{}, false, err
+				return 0, err
 			}
 			o.ki++
 			if o.ki < len(o.kids) {
 				if err := o.kids[o.ki].op.Open(); err != nil {
-					return algebra.Row{}, false, err
+					return 0, err
 				}
 			}
 			continue
 		}
-		key := ""
-		for _, v := range o.vars {
-			key += fmt.Sprintf("%s=%d;", v, row.Vars[v].OID)
+		for _, row := range o.sub.Rows[:k] {
+			key := ""
+			for _, v := range o.vars {
+				key += fmt.Sprintf("%s=%d;", v, row.Vars[v].OID)
+			}
+			if o.seen[key] {
+				continue
+			}
+			o.seen[key] = true
+			b.Rows[n] = row
+			n++
 		}
-		if o.seen[key] {
-			continue
-		}
-		o.seen[key] = true
-		return row, true, nil
 	}
+	return n, nil
 }
 
 func (o *unionOp) Close() error {

@@ -15,10 +15,10 @@ import (
 )
 
 // The vector sweep measures the batch-at-a-time executor with compiled
-// predicates against the row-at-a-time interpreter on selection-heavy
-// Company scans. Both predicates fully lower to self-mode closures, so the
-// vector modes skip row construction and env binding entirely for rejected
-// objects — which is most of them, and where the speedup comes from.
+// predicates on selection-heavy Company scans, serial and through a
+// morsel exchange. Both predicates fully lower to self-mode closures, so
+// the scans skip row construction and env binding entirely for rejected
+// objects — which is most of them.
 
 // vectorPasses is the number of measured scan passes per configuration. The
 // throughput columns come from the best (fastest) pass: per-pass work is
@@ -39,7 +39,7 @@ const vectorPasses = 7
 const vectorFrames = 8192
 
 // vectorCacheBytes holds every decoded Company at the artifact scale. The
-// cache is warmed before measuring, so all three modes scan decoded objects
+// cache is warmed before measuring, so both modes scan decoded objects
 // and the sweep isolates execution cost from decode cost (DecodesPerRow
 // pins that the decode skip actually engaged).
 const vectorCacheBytes = 64 << 20
@@ -47,13 +47,13 @@ const vectorCacheBytes = 64 << 20
 // vectorWorkers is the exchange fan-out of the vector-parallel mode.
 const vectorWorkers = 4
 
-// VectorModes are the three execution modes every predicate runs under.
-var VectorModes = []string{"row", "vector", "vector-parallel"}
+// VectorModes are the execution modes every predicate runs under.
+var VectorModes = []string{"vector", "vector-parallel"}
 
 // VectorEntry is one measured (predicate, mode) configuration. Rows, Reads,
-// DecodesPerRow and Compiled are deterministic and must agree with the row
-// mode of the same predicate (Compiled excepted); the wall-clock and
-// allocation columns are machine-local measurements.
+// DecodesPerRow and Compiled are deterministic and must agree with the
+// serial vector mode of the same predicate; the wall-clock and allocation
+// columns are machine-local measurements.
 type VectorEntry struct {
 	Name           string  `json:"name"`
 	Mode           string  `json:"mode"`
@@ -62,7 +62,7 @@ type VectorEntry struct {
 	SimulatedMs    float64 `json:"simulated_ms"`
 	WallMs         float64 `json:"best_pass_wall_ms"`
 	RowsPerWallSec float64 `json:"rows_per_wall_sec"`
-	Speedup        float64 `json:"speedup_vs_row"`
+	Speedup        float64 `json:"speedup_vs_vector"`
 	Compiled       bool    `json:"compiled"`
 	AllocsPerRow   float64 `json:"allocs_per_row"`
 	DecodesPerRow  float64 `json:"decodes_per_row"`
@@ -129,8 +129,8 @@ func vectorFingerprint(out *algebra.Collection) (uint64, error) {
 // cache holding the decoded Company extent, one unmeasured pass, then
 // vectorPasses measured passes. The function enforces the differential
 // contract inline: every mode must produce the row count, fingerprint and
-// per-pass read total of the row mode — vectorization and compilation may
-// only change CPU time, never results or I/O.
+// per-pass read total of the serial vector mode — the exchange may only
+// change CPU time, never results or I/O.
 func MeasureVector(env *Env) (*BenchVector, error) {
 	out := &BenchVector{
 		Scale:     float64(env.Scale),
@@ -139,8 +139,8 @@ func MeasureVector(env *Env) (*BenchVector, error) {
 		Workers:   vectorWorkers,
 	}
 	for _, p := range vectorPreds() {
-		var base float64  // rows/sec in row mode
-		var baseFP uint64 // fingerprint in row mode
+		var base float64  // rows/sec in serial vector mode
+		var baseFP uint64 // fingerprint in serial vector mode
 		var baseRows int
 		var baseReads int64
 		for i, mode := range VectorModes {
@@ -151,10 +151,10 @@ func MeasureVector(env *Env) (*BenchVector, error) {
 			if i == 0 {
 				base, baseFP, baseRows, baseReads = e.RowsPerWallSec, fp, e.Rows, e.Reads
 			} else if fp != baseFP || e.Rows != baseRows {
-				return nil, fmt.Errorf("%s mode=%s: results diverge from row mode (rows %d vs %d)",
+				return nil, fmt.Errorf("%s mode=%s: results diverge from vector mode (rows %d vs %d)",
 					p.name, mode, e.Rows, baseRows)
 			} else if e.Reads != baseReads {
-				return nil, fmt.Errorf("%s mode=%s: read pattern diverges from row mode (%d vs %d reads)",
+				return nil, fmt.Errorf("%s mode=%s: read pattern diverges from vector mode (%d vs %d reads)",
 					p.name, mode, e.Reads, baseReads)
 			}
 			if base > 0 {
@@ -196,9 +196,6 @@ func measureVectorEntry(env *Env, p vectorPred, mode string) (VectorEntry, uint6
 		plan = &optimizer.ExchangePlan{Input: sel, Workers: vectorWorkers}
 	}
 	ex := exec.New(algebra.New(cat))
-	if mode == "row" {
-		ex.RowMode = true
-	}
 
 	pass := func() (*algebra.Collection, error) { return ex.Execute(plan) }
 
@@ -268,15 +265,13 @@ func measureVectorEntry(env *Env, p vectorPred, mode string) (VectorEntry, uint6
 		e.AllocsPerRow = round3(float64(ms.Mallocs-mallocs0) / float64(rows))
 		e.DecodesPerRow = round3(float64(um) / float64(rows))
 	}
-	if mode != "row" {
-		_, e.Compiled = ex.Funcs.Predicate("c", p.pred)
-	}
+	_, e.Compiled = ex.Funcs.Predicate("c", p.pred)
 	return e, fp, nil
 }
 
 // VectorSweep prints the MeasureVector sweep as a table.
 func VectorSweep(w io.Writer, env *Env) error {
-	section(w, "Vectorized execution. Batch-at-a-time with compiled predicates vs row-at-a-time")
+	section(w, "Vectorized execution. Batch-at-a-time with compiled predicates, serial vs exchange")
 	res, err := MeasureVector(env)
 	if err != nil {
 		return err

@@ -12,8 +12,7 @@ import (
 
 // TestGoldenSuiteStreamingDifferential replays the full MOODSQL golden
 // script and, for every SELECT, runs the optimized plan through the
-// vectorized streaming pipeline, the row-at-a-time interpreter (RowMode,
-// compilation off), the retained materializing executor, and the
+// streaming pipeline, the retained materializing executor, and the
 // morsel-parallel rewrite, demanding identical rendered results and a
 // stable LastPlan rendering. DDL and DML statements execute normally so
 // each query sees the same database state the golden run does.
@@ -26,11 +25,6 @@ func TestGoldenSuiteStreamingDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A shallow executor copy sharing the algebra and function registry but
-	// pulling rows one at a time with compiled predicates disabled.
-	rowExec := *db.Exec
-	rowExec.RowMode = true
-
 	selects := 0
 	for _, stmt := range splitScript(string(script)) {
 		parsed, err := sql.Parse(stmt)
@@ -62,13 +56,6 @@ func TestGoldenSuiteStreamingDifferential(t *testing.T) {
 		got, want := renderResult(exec.Extract(stream)), renderResult(exec.Extract(eager))
 		if got != want {
 			t.Errorf("%s: paths disagree:\n--- streaming ---\n%s--- materialized ---\n%s", stmt, got, want)
-		}
-		rows, err := rowExec.Execute(plan)
-		if err != nil {
-			t.Fatalf("%s: row-mode execute: %v", stmt, err)
-		}
-		if got := renderResult(exec.Extract(rows)); got != want {
-			t.Errorf("%s: row mode disagrees:\n--- row mode ---\n%s--- materialized ---\n%s", stmt, got, want)
 		}
 		st, err := db.Stats()
 		if err != nil {

@@ -8,55 +8,17 @@ import (
 	"mood/internal/sql"
 )
 
-// Operator is the physical-operator contract of the streaming executor: a
-// pull-based (Volcano-style) iterator compiled from a Plan node. The
-// optimizer owns the contract so that any package can build execution
-// engines against plans without importing the executor.
-//
-// Lifecycle:
-//
-//   - Open acquires resources and, for pipeline breakers (sort, dup-elim,
-//     hash-join build sides), drains the blocking inputs. Open must be called
-//     exactly once, before the first Next.
-//   - Next returns the next row and ok=true, or ok=false once the stream is
-//     exhausted. After exhaustion or an error, further Next calls must keep
-//     returning ok=false; rows stream by reference, so callers must not
-//     mutate a returned Row's Vars map.
-//   - Close releases resources, recursively closing inputs. Close is
-//     idempotent and must be safe after a failed Open or mid-stream — a
-//     consumer that stops early (LIMIT-style, named-object lookup, empty
-//     intersect) closes a half-drained pipeline and the remaining extent
-//     pages are simply never read.
-//
-// Errors propagate up the Next chain unwrapped; the root consumer sees the
-// leaf's error verbatim and is responsible for closing the tree.
-//
-// The executor refines this contract batch-at-a-time: operators that also
-// implement exec.BatchOperator produce row vectors through NextBatch, and an
-// adapter bridges the two shapes in either direction. The refinement lives in
-// exec (not here) because batches are an execution concern — plans and
-// external engines only ever depend on the row contract above.
-type Operator interface {
-	Open() error
-	Next() (algebra.Row, bool, error)
-	Close() error
-}
-
-// Header describes the collection shape an operator's row stream would have
-// if materialized: the MOOD-algebra kind, distinguished variable, and class
-// of the seed executor's Collection headers. It is computed at compile time
-// from the plan alone so the streaming and materializing paths agree on
-// result shape before any row is produced.
+// Header describes the collection shape a plan node's rows would have if
+// materialized: the MOOD-algebra kind, distinguished variable, and class of
+// the seed executor's Collection headers. The executor computes it at
+// compile time from the plan alone, so the streaming and materializing
+// paths agree on result shape before any row is produced. (The executor
+// owns the physical-operator contract itself — Open/NextBatch/Close in
+// package exec; plans never depend on it.)
 type Header struct {
 	Kind  algebra.Kind
 	Name  string
 	Class string
-}
-
-// PhysicalOperator is an Operator that also reports its materialized shape.
-type PhysicalOperator interface {
-	Operator
-	Header() Header
 }
 
 // Children returns a plan node's direct inputs in execution order, so

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // FileID identifies a storage file (the persistent home of one class extent,
@@ -20,9 +21,12 @@ type File struct {
 	Name      string
 	firstPage PageID
 	lastPage  PageID
-	numPages  uint32
-	numRecs   uint32
-	dirSlot   SlotID // slot of this file's directory record
+	// numPages and numRecs change under the owning ObjectStore's lock but
+	// are read without it (statistics collection sizes extents while
+	// inserts, compaction and migration run), hence atomic.
+	numPages atomic.Uint32
+	numRecs  atomic.Uint32
+	dirSlot  SlotID // slot of this file's directory record
 	// pages caches the chain order of the file's data pages; it is valid
 	// exactly when len(pages) == numPages (a file re-opened from its
 	// directory record starts with a cold cache). Guarded by the owning
@@ -32,10 +36,10 @@ type File struct {
 
 // NumPages returns the number of data pages in the file — the paper's
 // nbpages(C) when the file stores class C's extent.
-func (f *File) NumPages() int { return int(f.numPages) }
+func (f *File) NumPages() int { return int(f.numPages.Load()) }
 
 // NumRecords returns the number of live records — the paper's |C|.
-func (f *File) NumRecords() int { return int(f.numRecs) }
+func (f *File) NumRecords() int { return int(f.numRecs.Load()) }
 
 // FirstPage returns the first data page (0 if the file is empty).
 func (f *File) FirstPage() PageID { return f.firstPage }
@@ -219,7 +223,8 @@ func (fm *FileManager) ReloadFile(f *File) error {
 	if err == nil {
 		nf := decodeDirRecord(rec)
 		f.firstPage, f.lastPage = nf.firstPage, nf.lastPage
-		f.numPages, f.numRecs = nf.numPages, nf.numRecs
+		f.numPages.Store(nf.numPages.Load())
+		f.numRecs.Store(nf.numRecs.Load())
 		f.pages = nil
 	}
 	if uerr := fm.bp.Unpin(fm.dirPage, false); uerr != nil && err == nil {
@@ -259,19 +264,20 @@ func encodeDirRecord(f *File) []byte {
 	binary.LittleEndian.PutUint16(rec[0:], uint16(f.ID))
 	binary.LittleEndian.PutUint32(rec[2:], uint32(f.firstPage))
 	binary.LittleEndian.PutUint32(rec[6:], uint32(f.lastPage))
-	binary.LittleEndian.PutUint32(rec[10:], f.numPages)
-	binary.LittleEndian.PutUint32(rec[14:], f.numRecs)
+	binary.LittleEndian.PutUint32(rec[10:], f.numPages.Load())
+	binary.LittleEndian.PutUint32(rec[14:], f.numRecs.Load())
 	copy(rec[dirRecordFixed:], f.Name)
 	return rec
 }
 
 func decodeDirRecord(rec []byte) *File {
-	return &File{
+	f := &File{
 		ID:        FileID(binary.LittleEndian.Uint16(rec[0:])),
 		firstPage: PageID(binary.LittleEndian.Uint32(rec[2:])),
 		lastPage:  PageID(binary.LittleEndian.Uint32(rec[6:])),
-		numPages:  binary.LittleEndian.Uint32(rec[10:]),
-		numRecs:   binary.LittleEndian.Uint32(rec[14:]),
 		Name:      string(rec[dirRecordFixed:]),
 	}
+	f.numPages.Store(binary.LittleEndian.Uint32(rec[10:]))
+	f.numRecs.Store(binary.LittleEndian.Uint32(rec[14:]))
+	return f
 }

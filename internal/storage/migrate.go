@@ -200,10 +200,10 @@ func (s *ObjectStore) appendPageLogged(f *File, logPage PageLogger) (PageID, err
 		f.firstPage = pid
 	}
 	f.lastPage = pid
-	if len(f.pages) == int(f.numPages) {
+	if len(f.pages) == f.NumPages() {
 		f.pages = append(f.pages, pid)
 	}
-	f.numPages++
+	f.numPages.Add(1)
 	if err := s.loggedPageMutate(s.fm.dirPage, logPage, func(p *Page) error {
 		return p.Update(f.dirSlot, encodeDirRecord(f))
 	}); err != nil {
@@ -417,7 +417,7 @@ func (s *ObjectStore) compactFile(f *File) (int, error) {
 		if f.lastPage == pid {
 			f.lastPage = prev
 		}
-		f.numPages--
+		f.numPages.Add(^uint32(0))
 		f.pages = nil // chain cache cold; PageList rebuilds it
 		if err := s.fm.syncDir(f); err != nil {
 			return freed, err

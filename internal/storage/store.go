@@ -100,7 +100,7 @@ func (s *ObjectStore) Insert(f *File, data []byte) (OID, error) {
 			return NilOID, uerr
 		}
 		if ierr == nil {
-			f.numRecs++
+			f.numRecs.Add(1)
 			if err := s.fm.syncDir(f); err != nil {
 				return NilOID, err
 			}
@@ -121,7 +121,7 @@ func (s *ObjectStore) Insert(f *File, data []byte) (OID, error) {
 	if ierr != nil {
 		return NilOID, ierr
 	}
-	f.numRecs++
+	f.numRecs.Add(1)
 	if err := s.fm.syncDir(f); err != nil {
 		return NilOID, err
 	}
@@ -339,8 +339,8 @@ func (s *ObjectStore) Delete(oid OID) error {
 		}
 	}
 	f, ferr := s.fm.FileByID(oid.File())
-	if ferr == nil && f.numRecs > 0 {
-		f.numRecs--
+	if ferr == nil && f.numRecs.Load() > 0 {
+		f.numRecs.Add(^uint32(0))
 		return s.fm.syncDir(f)
 	}
 	return nil
@@ -369,7 +369,7 @@ func (s *ObjectStore) FirstScanPage(f *File) PageID {
 // disjoint pages concurrently instead of chasing NextPage links serially.
 func (s *ObjectStore) PageList(f *File) ([]PageID, error) {
 	s.mu.RLock()
-	if len(f.pages) == int(f.numPages) {
+	if len(f.pages) == f.NumPages() {
 		out := append([]PageID(nil), f.pages...)
 		s.mu.RUnlock()
 		return out, nil
@@ -378,10 +378,10 @@ func (s *ObjectStore) PageList(f *File) ([]PageID, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(f.pages) == int(f.numPages) {
+	if len(f.pages) == f.NumPages() {
 		return append([]PageID(nil), f.pages...), nil
 	}
-	pages := make([]PageID, 0, f.numPages)
+	pages := make([]PageID, 0, f.NumPages())
 	for pid := f.firstPage; pid != 0; {
 		pg, err := s.bp.Fetch(pid)
 		if err != nil {
@@ -576,10 +576,10 @@ func (s *ObjectStore) appendPage(f *File) (*Page, error) {
 	// Keep the page-list cache current while it is complete; a cache that
 	// went cold (file re-opened from disk) stays cold until PageList walks
 	// the chain once.
-	if len(f.pages) == int(f.numPages) {
+	if len(f.pages) == f.NumPages() {
 		f.pages = append(f.pages, pg.ID)
 	}
-	f.numPages++
+	f.numPages.Add(1)
 	if err := s.fm.syncDir(f); err != nil {
 		s.bp.Unpin(pg.ID, true)
 		return nil, err
