@@ -180,25 +180,32 @@ func (c *Cache) Contains(oid storage.OID) bool {
 // cost collapses to a map lookup. No user code runs under the locks. The
 // returned pointers carry GetScan's aliasing contract. Reports the number
 // of hits. vals must be at least as long as oids.
+//
+// The batch holds several shard locks at once, so it takes them in
+// ascending shard order: a writer queued on a shard blocks new readers of
+// it, and two batches locking in OID order could each wait on a shard the
+// other holds behind such a writer.
 func (c *Cache) GetScanBatch(oids []storage.OID, vals []*object.Value) int {
-	var locked [numShards]bool
+	var need uint64 // bit i: shard i is touched (numShards <= 64)
+	for _, oid := range oids {
+		need |= 1 << shardIndex(oid)
+	}
+	for i := range c.shards {
+		if need&(1<<i) != 0 {
+			c.shards[i].mu.RLock()
+		}
+	}
 	hits := 0
 	for i, oid := range oids {
-		idx := shardIndex(oid)
-		sh := &c.shards[idx]
-		if !locked[idx] {
-			sh.mu.RLock()
-			locked[idx] = true
-		}
-		if el, ok := sh.table[oid]; ok {
+		if el, ok := c.shards[shardIndex(oid)].table[oid]; ok {
 			vals[i] = &el.Value.(*entry).val
 			hits++
 		} else {
 			vals[i] = nil
 		}
 	}
-	for i := range locked {
-		if locked[i] {
+	for i := range c.shards {
+		if need&(1<<i) != 0 {
 			c.shards[i].mu.RUnlock()
 		}
 	}
