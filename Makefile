@@ -2,7 +2,8 @@
 #
 #   make build           compile every package and command
 #   make test            full test suite
-#   make race            full test suite under the race detector
+#   make race            full test suite under the race detector, plus the
+#                        end-to-end benchmark module's short tests
 #   make vet             static analysis
 #   make crashtest       the seeded crash/recovery torture harness:
 #                        single-store, sharded, and mid-migration cluster
@@ -93,6 +94,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	cd bench && $(GO) test -race -short ./...
 
 vet:
 	$(GO) vet ./...

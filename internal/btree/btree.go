@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mood/internal/storage"
 )
@@ -49,10 +50,13 @@ type Tree struct {
 	root    storage.PageID
 	keySize int
 	unique  bool
-	height  int // number of levels, leaves included
-	leaves  int
-	entries int
 	logger  storage.PageLogger
+
+	// The Table 9 counters are atomics: the optimizer reads them through
+	// Stats while writers' index maintenance moves them.
+	height  atomic.Int64 // number of levels, leaves included
+	leaves  atomic.Int64
+	entries atomic.Int64
 }
 
 // SetLogger attaches a WAL page logger: from then on every page the tree
@@ -102,7 +106,9 @@ func New(bp *storage.BufferPool, keySize int, unique bool) (*Tree, error) {
 	if keySize <= 0 || keySize > 512 {
 		return nil, fmt.Errorf("btree: invalid key size %d", keySize)
 	}
-	t := &Tree{bp: bp, keySize: keySize, unique: unique, height: 1, leaves: 1}
+	t := &Tree{bp: bp, keySize: keySize, unique: unique}
+	t.height.Store(1)
+	t.leaves.Store(1)
 	pg, err := bp.NewPage()
 	if err != nil {
 		return nil, err
@@ -129,7 +135,7 @@ func Open(bp *storage.BufferPool, root storage.PageID, keySize int, unique bool)
 		if err != nil {
 			return nil, err
 		}
-		t.height++
+		t.height.Add(1)
 		leaf := pg.Bytes()[offIsLeaf] == 1
 		var next storage.PageID
 		if !leaf {
@@ -153,8 +159,8 @@ func Open(bp *storage.BufferPool, root storage.PageID, keySize int, unique bool)
 		if err != nil {
 			return nil, err
 		}
-		t.leaves++
-		t.entries += t.nkeys(pg)
+		t.leaves.Add(1)
+		t.entries.Add(int64(t.nkeys(pg)))
 		next := pg.NextPage()
 		if err := bp.Unpin(pid, false); err != nil {
 			return nil, err
@@ -178,16 +184,16 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	return Stats{
 		Order:   t.capacity() / 2,
-		Levels:  t.height,
-		Leaves:  t.leaves,
+		Levels:  int(t.height.Load()),
+		Leaves:  int(t.leaves.Load()),
 		KeySize: t.keySize,
 		Unique:  t.unique,
-		Entries: t.entries,
+		Entries: int(t.entries.Load()),
 	}
 }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.entries }
+func (t *Tree) Len() int { return int(t.entries.Load()) }
 
 func (t *Tree) entrySize() int { return t.keySize + 8 }
 
@@ -338,12 +344,12 @@ func (t *Tree) Insert(key []byte, oid storage.OID) error {
 		t.insertAt(pg, 0, promoted, uint64(t.root))
 		t.setRightmost(pg, newChild)
 		t.root = pg.ID
-		t.height++
+		t.height.Add(1)
 		if err := t.unpinLogged(pg, before); err != nil {
 			return err
 		}
 	}
-	t.entries++
+	t.entries.Add(1)
 	return nil
 }
 
@@ -423,7 +429,7 @@ func (t *Tree) splitLeaf(pg *storage.Page) ([]byte, storage.PageID, error) {
 	pg.SetNextPage(sib.ID)
 	sep := make([]byte, t.keySize)
 	copy(sep, t.key(sib, 0))
-	t.leaves++
+	t.leaves.Add(1)
 	if err := t.unpinLogged(sib, sibBefore); err != nil {
 		return nil, 0, err
 	}
@@ -642,7 +648,7 @@ func (t *Tree) Delete(key []byte, oid storage.OID) error {
 			if storage.OID(t.value(pg, i)) == oid {
 				before := t.snap(pg)
 				t.removeAt(pg, i)
-				t.entries--
+				t.entries.Add(-1)
 				return t.unpinLogged(pg, before)
 			}
 		}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mood/internal/objcache"
 	"mood/internal/object"
@@ -69,10 +70,20 @@ type Class struct {
 	Methods []*MethodSig
 
 	extent *storage.Extent
+
+	// mutations counts the creates, updates and deletes applied to the
+	// extent. It moves after the store change, so a reader that loads it
+	// before scanning either sees the change or holds an older count.
+	mutations atomic.Uint64
 }
 
 // Extent returns the class's default extent (nil for pure types).
 func (c *Class) Extent() *storage.Extent { return c.extent }
+
+// Mutations returns the class's mutation counter: it moves with every
+// CreateObject, UpdateObject and DeleteObject on the class's own extent
+// (the logical undo of an abort goes through the same calls).
+func (c *Class) Mutations() uint64 { return c.mutations.Load() }
 
 // Catalog is the schema and object manager.
 type Catalog struct {
@@ -103,6 +114,9 @@ type Catalog struct {
 	// — the kernel's join-index maintenance feed. Installed once at open
 	// time, read-only after.
 	mutObs MutationObserver
+
+	// schema moves with every class or type definition and drop.
+	schema atomic.Uint64
 }
 
 // AccessObserver receives the request-ordered OID batches readers
@@ -199,6 +213,7 @@ func (c *Catalog) define(name string, tuple *object.Type, supers []string, metho
 	}
 	c.classes[name] = cl
 	c.byID[cl.ID] = cl
+	c.schema.Add(1)
 	if err := c.persistClass(cl); err != nil {
 		return nil, err
 	}
@@ -243,8 +258,14 @@ func (c *Catalog) DropClass(name string) error {
 	}
 	delete(c.classes, name)
 	delete(c.byID, cl.ID)
+	c.schema.Add(1)
 	return nil
 }
+
+// SchemaVersion returns a counter that moves with every class or type
+// definition and drop, so a cache built over the class set can tell when
+// that set changed.
+func (c *Catalog) SchemaVersion() uint64 { return c.schema.Load() }
 
 // Class returns the class or named type.
 func (c *Catalog) Class(name string) (*Class, error) {

@@ -487,3 +487,96 @@ func ExampleCatalog_IsAPath() {
 	fmt.Println(cls)
 	// Output: VehicleEngine
 }
+
+// TestUpdateMaintainsOnlyChangedKeys: an update that leaves an index's key
+// alone does not touch that index (the entry keeps its place among its
+// duplicates); one that changes the key, to or from null included, moves it.
+func TestUpdateMaintainsOnlyChangedKeys(t *testing.T) {
+	c := newCatalog(t)
+	defineVehicleSchema(t, c)
+	var oids []storage.OID
+	for i := int32(0); i < 40; i++ {
+		oid, err := c.CreateObject("Vehicle", vehicleValue(i, 1000+i%4, storage.NilOID, storage.NilOID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	ix, err := c.CreateIndex("vw", "Vehicle", "weight", BTreeIndex, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hx, err := c.CreateIndex("vid", "Vehicle", "id", HashIndex, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func(oid storage.OID, attr string, val object.Value) {
+		t.Helper()
+		v, _, err := c.GetObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = v.Clone()
+		v.SetField(attr, val)
+		if err := c.UpdateObject(oid, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := ix.Lookup(object.NewInt(1001))
+	update(oids[5], "id", object.NewInt(500)) // weight key unchanged
+	after, _ := ix.Lookup(object.NewInt(1001))
+	if fmt.Sprint(before) != fmt.Sprint(after) {
+		t.Errorf("an update leaving weight alone reordered its duplicates: %v -> %v", before, after)
+	}
+	if got, _ := hx.Lookup(object.NewInt(500)); len(got) != 1 || got[0] != oids[5] {
+		t.Errorf("changed hash key not moved: %v", got)
+	}
+	if got, _ := hx.Lookup(object.NewInt(5)); len(got) != 0 {
+		t.Errorf("old hash key still indexed: %v", got)
+	}
+	n := ix.BTree().Len()
+	update(oids[5], "weight", object.Null)
+	if got, _ := ix.Lookup(object.NewInt(1001)); len(got) != len(before)-1 || ix.BTree().Len() != n-1 {
+		t.Errorf("weight -> null: %d duplicates, %d entries", len(got), ix.BTree().Len())
+	}
+	update(oids[5], "weight", object.NewInt(1001))
+	if got, _ := ix.Lookup(object.NewInt(1001)); len(got) != len(before) || ix.BTree().Len() != n {
+		t.Errorf("null -> weight: %d duplicates, %d entries", len(got), ix.BTree().Len())
+	}
+}
+
+// TestMutationCounters: a class's counter moves once per create, update and
+// delete on its own extent, and only there; the schema version moves with
+// every definition and drop.
+func TestMutationCounters(t *testing.T) {
+	c := newCatalog(t)
+	defineVehicleSchema(t, c)
+	vehicle, _ := c.Class("Vehicle")
+	company, _ := c.Class("Company")
+	schema := c.SchemaVersion()
+	oid, err := c.CreateObject("Vehicle", vehicleValue(1, 1000, storage.NilOID, storage.NilOID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpdateObject(oid, vehicleValue(1, 1001, storage.NilOID, storage.NilOID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteObject(oid); err != nil {
+		t.Fatal(err)
+	}
+	if vehicle.Mutations() != 3 || company.Mutations() != 0 {
+		t.Errorf("mutations: Vehicle %d (want 3), Company %d (want 0)", vehicle.Mutations(), company.Mutations())
+	}
+	if c.SchemaVersion() != schema {
+		t.Error("object writes moved the schema version")
+	}
+	if _, err := c.DefineClass("Truck", object.TupleOf(), []string{"Vehicle"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DropClass("Truck"); err != nil {
+		t.Fatal(err)
+	}
+	if c.SchemaVersion() != schema+2 {
+		t.Errorf("schema version moved %d times over a define and a drop, want 2", c.SchemaVersion()-schema)
+	}
+}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 
 	"mood/internal/btree"
@@ -232,12 +233,32 @@ func (ix *Index) RangeLookup(lo, hi object.Value) ([]storage.OID, error) {
 	return out, err
 }
 
-func (ix *Index) insert(v object.Value, oid storage.OID) error {
+// key returns the object's index key, nil when the attribute is absent or
+// null (nulls are not indexed).
+func (ix *Index) key(v object.Value) ([]byte, error) {
 	av, ok := v.Field(ix.Attribute)
 	if !ok || av.IsNull() {
-		return nil
+		return nil, nil
 	}
-	key, err := EncodeKey(ix.attrT, av, ix.KeySize)
+	return EncodeKey(ix.attrT, av, ix.KeySize)
+}
+
+// sameKey reports whether old and new carry the same index key, so an
+// update from one to the other leaves the index as it is.
+func (ix *Index) sameKey(old, new object.Value) (bool, error) {
+	ko, err := ix.key(old)
+	if err != nil {
+		return false, err
+	}
+	kn, err := ix.key(new)
+	if err != nil {
+		return false, err
+	}
+	return (ko == nil) == (kn == nil) && bytes.Equal(ko, kn), nil
+}
+
+func (ix *Index) insert(v object.Value, oid storage.OID) error {
+	key, err := ix.key(v)
 	if err != nil || key == nil {
 		return err
 	}
@@ -248,11 +269,7 @@ func (ix *Index) insert(v object.Value, oid storage.OID) error {
 }
 
 func (ix *Index) remove(v object.Value, oid storage.OID) error {
-	av, ok := v.Field(ix.Attribute)
-	if !ok || av.IsNull() {
-		return nil
-	}
-	key, err := EncodeKey(ix.attrT, av, ix.KeySize)
+	key, err := ix.key(v)
 	if err != nil || key == nil {
 		return err
 	}

@@ -50,6 +50,7 @@ func (c *Catalog) CreateObject(class string, v object.Value) (storage.OID, error
 	if err != nil {
 		return storage.NilOID, err
 	}
+	cl.mutations.Add(1)
 	if err := c.indexInsert(class, v, oid); err != nil {
 		return storage.NilOID, err
 	}
@@ -207,7 +208,8 @@ func (c *Catalog) Resolver() object.Resolver {
 }
 
 // UpdateObject replaces the object's value in place (stable OID), keeping
-// indexes in sync.
+// indexes in sync. Only the indexes whose key the update changes are
+// touched; an entry whose key stays keeps its place among its duplicates.
 func (c *Catalog) UpdateObject(oid storage.OID, v object.Value) error {
 	old, class, err := c.GetObject(oid)
 	if err != nil {
@@ -224,14 +226,29 @@ func (c *Catalog) UpdateObject(oid storage.OID, v object.Value) error {
 	if err != nil {
 		return err
 	}
-	if err := c.indexDelete(class, old, oid); err != nil {
-		return err
+	var changed []*Index
+	for _, ix := range c.applicableIndexes(class) {
+		same, err := ix.sameKey(old, v)
+		if err != nil {
+			return err
+		}
+		if !same {
+			changed = append(changed, ix)
+		}
+	}
+	for _, ix := range changed {
+		if err := ix.remove(old, oid); err != nil {
+			return err
+		}
 	}
 	if err := c.store.Update(oid, encodeObject(cl.ID, v)); err != nil {
 		return err
 	}
-	if err := c.indexInsert(class, v, oid); err != nil {
-		return err
+	cl.mutations.Add(1)
+	for _, ix := range changed {
+		if err := ix.insert(v, oid); err != nil {
+			return err
+		}
 	}
 	if c.mutObs != nil {
 		return c.mutObs('u', class, oid, old, v)
@@ -245,12 +262,17 @@ func (c *Catalog) DeleteObject(oid storage.OID) error {
 	if err != nil {
 		return err
 	}
+	cl, err := c.Class(class)
+	if err != nil {
+		return err
+	}
 	if err := c.indexDelete(class, old, oid); err != nil {
 		return err
 	}
 	if err := c.store.Delete(oid); err != nil {
 		return err
 	}
+	cl.mutations.Add(1)
 	if c.mutObs != nil {
 		return c.mutObs('d', class, oid, old, object.Value{})
 	}
@@ -275,6 +297,33 @@ func (c *Catalog) ScanExtent(class string, fn func(storage.OID, object.Value) bo
 			return false
 		}
 		return fn(oid, v)
+	})
+	if derr != nil {
+		return derr
+	}
+	return err
+}
+
+// ScanRecords iterates the direct extent of one class like ScanExtent but
+// without decoding: fn receives each object's encoded value (object.Encode
+// form, the class header stripped), valid only during the call. Callers that
+// need only record sizes skip the decode; the others Unmarshal what they use.
+func (c *Catalog) ScanRecords(class string, fn func(oid storage.OID, value []byte) bool) error {
+	cl, err := c.Class(class)
+	if err != nil {
+		return err
+	}
+	if cl.extent == nil {
+		return fmt.Errorf("catalog: %s has no extent", class)
+	}
+	var derr error
+	err = c.store.ScanExtent(cl.extent, func(oid storage.OID, data []byte) bool {
+		_, n := binary.Uvarint(data)
+		if n <= 0 {
+			derr = fmt.Errorf("catalog: corrupt object header")
+			return false
+		}
+		return fn(oid, data[n:])
 	})
 	if derr != nil {
 		return derr

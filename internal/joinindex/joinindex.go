@@ -202,15 +202,40 @@ func (ix *BinaryJoinIndex) removeLocked(src storage.OID, attr object.Value) erro
 	return nil
 }
 
+// Unchanged reports whether an attribute change from old to new leaves a
+// binary join index's pairs as they are: both null, the same reference, or
+// the same references in the same order. Maintain is a no-op then.
+func Unchanged(old, new object.Value) bool {
+	if old.Kind != new.Kind {
+		return false
+	}
+	switch old.Kind {
+	case object.KindNull:
+		return true
+	case object.KindReference:
+		return old.Ref == new.Ref
+	case object.KindSet, object.KindList:
+		if len(old.Elems) != len(new.Elems) {
+			return false
+		}
+		for i, e := range old.Elems {
+			if e.Kind != new.Elems[i].Kind || e.Ref != new.Elems[i].Ref {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // Maintain applies one object mutation to the index under a single writer
 // critical section: old and new are the source object's attribute values
 // before and after the change. A create passes a null old, a delete a null
-// new; an update whose attribute did not change is a cheap no-op for plain
-// references.
+// new; an Unchanged attribute is a no-op.
 func (ix *BinaryJoinIndex) Maintain(src storage.OID, old, new object.Value) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if old.Kind == object.KindReference && new.Kind == object.KindReference && old.Ref == new.Ref {
+	if Unchanged(old, new) {
 		return nil
 	}
 	if !old.IsNull() {

@@ -318,8 +318,9 @@ func TestReorganizeImprovesColdTraversal(t *testing.T) {
 		t.Error("compaction parked/freed no source pages after a whole-part rewrite")
 	}
 	// One warm pass absorbs the post-reorganization statistics recollection
-	// (invalidateStats forces the next planning to rescan the extents); the
-	// cold measurement below then prices the query alone.
+	// (Reorganize drops the whole statistics base, so the next planning
+	// rescans every extent); the cold measurement below then prices the
+	// query alone.
 	if _, err := db.Execute(q); err != nil {
 		t.Fatal(err)
 	}

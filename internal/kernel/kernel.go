@@ -69,8 +69,12 @@ type DB struct {
 	// Shards holds every shard's independent stack (length 1 unsharded).
 	Shards []*Shard
 
-	stats   *cost.Stats
-	statsMu sync.Mutex // guards stats: concurrent committers invalidate it
+	// statsBase keeps the Table 8 statistics per class and re-collects only
+	// the classes writes have touched since; stats is its last assembly with
+	// the kernel's cost knobs applied. statsMu guards both.
+	statsBase *stats.Base
+	stats     *cost.Stats
+	statsMu   sync.Mutex
 
 	// bjis is the registry of maintained binary join indices. bjiMu guards
 	// it (the mutation observer walks it on every object write); bjiLogMu
@@ -92,6 +96,13 @@ type DB struct {
 	reorgMu      sync.Mutex
 	reorgStop    chan struct{}
 	reorgWG      sync.WaitGroup
+	// moveMu keeps record migration apart from extent scans while
+	// clustering is on: each migration batch and compaction pass holds it
+	// exclusively; each plan execution, UPDATE/DELETE target scan and
+	// statistics re-collection holds it shared. A scan spanning a move would
+	// meet the record both on its old page and, relocated, on the new page
+	// appended behind it.
+	moveMu sync.RWMutex
 
 	// txSeq mints lock-manager transaction ids in sharded mode, where no
 	// single WAL owns the id space.
@@ -240,6 +251,7 @@ func Open(opts Options) (*DB, error) {
 		parallelism:      opts.Parallelism,
 		parallelMinPages: opts.ParallelMinPages,
 	}
+	db.statsBase = stats.NewBase(cat, db.costDisk())
 	if opts.PlanCache {
 		db.plans = newPlanCache()
 	}
@@ -326,14 +338,17 @@ func (db *DB) Close() {
 // Recover replays every shard's WAL against its own buffer pool
 // (ARIES-style redo/undo, one independent pass per shard — the logs share
 // no LSN space and touch disjoint disks) and drops every cached decoded
-// object: recovery rewrites pages underneath the cache, so its contents are
-// no longer trustworthy. The returned stats aggregate all shards.
+// object and the statistics base: recovery rewrites pages underneath both,
+// so their contents are no longer trustworthy. The returned stats aggregate
+// all shards.
 func (db *DB) Recover() (wal.RecoveryStats, error) {
 	var total wal.RecoveryStats
 	// Recovery rewrites object state underneath the snapshot overlay; its
 	// retained pre-images (and any open snapshots) no longer describe
 	// anything real.
 	db.vs.Reset()
+	// Undo of loser transactions moves no class's mutation counter.
+	defer db.invalidateStats()
 	for _, sh := range db.Shards {
 		st, err := sh.Log.Recover(sh.Pool)
 		total.Analyzed += st.Analyzed
@@ -400,26 +415,58 @@ func (db *DB) RegisterMethod(class, name string, body funcmgr.Body) error {
 	return db.Funcs.Register(sig, body)
 }
 
-// RefreshStats re-collects the Table 8 statistics base; the optimizer uses
-// it for every subsequent query. Cached plans carry old estimates, so the
-// plan cache is invalidated alongside.
+// costDisk returns the cost model's view of the simulated disk.
+func (db *DB) costDisk() cost.Disk {
+	p := db.Disk.Params()
+	return cost.Disk{B: p.BlockSize, BTT: p.BTT, EBT: p.EBT, R: p.R, S: p.S}
+}
+
+// RefreshStats re-collects the Table 8 statistics base from every extent;
+// the optimizer uses it for every subsequent query. Cached plans carry old
+// estimates, so the plan cache is invalidated alongside.
 func (db *DB) RefreshStats() error {
 	db.invalidatePlans()
-	_, err := db.refreshStats()
+	db.invalidateStats()
+	_, err := db.Stats()
 	return err
 }
 
-func (db *DB) refreshStats() (*cost.Stats, error) {
-	st, err := stats.Collect(db.Cat, cost.Disk{
-		B:   db.Disk.Params().BlockSize,
-		BTT: db.Disk.Params().BTT,
-		EBT: db.Disk.Params().EBT,
-		R:   db.Disk.Params().R,
-		S:   db.Disk.Params().S,
-	})
+// invalidateStats drops the whole statistics base, so the next Stats scans
+// every extent. Only events that change what the extents hold without
+// moving a class's mutation counter need it: reorganization (pages move
+// under every class) and recovery. Class definitions and drops are seen by
+// the base itself through the catalog's schema version.
+func (db *DB) invalidateStats() {
+	db.statsMu.Lock()
+	db.statsBase.Reset()
+	db.stats = nil
+	db.statsMu.Unlock()
+}
+
+// Stats returns the current statistics base. While no class has been
+// mutated since the last call it returns the same base without a lock on
+// the catalog or an allocation; otherwise it re-scans the classes whose
+// IS-A closure was written and assembles a fresh base.
+func (db *DB) Stats() (*cost.Stats, error) {
+	db.statsMu.Lock()
+	defer db.statsMu.Unlock()
+	if db.stats != nil && !db.statsBase.Stale() {
+		return db.stats, nil
+	}
+	db.holdMoves()
+	st, err := db.statsBase.Collect()
+	db.releaseMoves()
 	if err != nil {
 		return nil, err
 	}
+	db.applyCostKnobs(st)
+	db.stats = st
+	return st, nil
+}
+
+// applyCostKnobs sets the cost-model inputs that describe the kernel rather
+// than the extents on a freshly assembled base.
+func (db *DB) applyCostKnobs(st *cost.Stats) {
 	// The kernel's executor implements the fusion join, so BestJoin may
 	// price it as a fifth candidate; the knob defaults off in the cost
 	// package so the paper's four-way choice set stays byte-exact there.
@@ -442,30 +489,6 @@ func (db *DB) refreshStats() (*cost.Stats, error) {
 		}
 		stats.ApplyClusterFactors(st, db.Cat, obs)
 	}
-	db.statsMu.Lock()
-	db.stats = st
-	db.statsMu.Unlock()
-	return st, nil
-}
-
-// invalidateStats drops the cached statistics base. Mutating statements and
-// concurrent transaction commits all call it; the mutex keeps the write
-// race-free.
-func (db *DB) invalidateStats() {
-	db.statsMu.Lock()
-	db.stats = nil
-	db.statsMu.Unlock()
-}
-
-// Stats returns the current statistics base, collecting it if necessary.
-func (db *DB) Stats() (*cost.Stats, error) {
-	db.statsMu.Lock()
-	cached := db.stats
-	db.statsMu.Unlock()
-	if cached != nil {
-		return cached, nil
-	}
-	return db.refreshStats()
 }
 
 // BuildBJI materializes a binary join index on class.attribute and
@@ -499,36 +522,44 @@ func (db *DB) bjiPageLogger() storage.PageLogger {
 }
 
 // maintainBJIs is the catalog's mutation observer: each binary join index
-// whose indexed closure contains the mutated class applies the attribute
-// delta inside one WAL micro-transaction on shard 0's log. The object cache
-// needs no extra work here — the store already epoch-invalidated the OID
-// while holding its exclusive lock. A failed maintenance aborts the
-// micro-transaction (restoring the touched index pages from their logged
-// before-images) and drops the affected indices rather than leave them out
-// of step with the extent; the mutating statement then fails after the
-// fact, like attribute-index partial failures.
+// whose indexed closure contains the mutated class and whose attribute the
+// mutation changes applies the delta inside one WAL micro-transaction on
+// shard 0's log. A mutation that changes no indexed reference begins no
+// micro-transaction and forces nothing. The object cache needs no extra
+// work here — the store already epoch-invalidated the OID while holding its
+// exclusive lock. A failed maintenance aborts the micro-transaction
+// (restoring the touched index pages from their logged before-images) and
+// drops the affected indices rather than leave them out of step with the
+// extent; the mutating statement then fails after the fact, like
+// attribute-index partial failures.
 func (db *DB) maintainBJIs(op byte, class string, oid storage.OID, old, new object.Value) error {
+	type delta struct {
+		name     string
+		ix       *joinindex.BinaryJoinIndex
+		old, new object.Value
+	}
+	var deltas []delta
 	db.bjiMu.RLock()
-	var targets []*joinindex.BinaryJoinIndex
-	var names []string
 	for name, ix := range db.bjis {
-		if db.Cat.IsA(class, ix.Class) {
-			targets = append(targets, ix)
-			names = append(names, name)
+		if !db.Cat.IsA(class, ix.Class) {
+			continue
+		}
+		oldA, _ := old.Field(ix.Attribute) // zero (null) on create
+		newA, _ := new.Field(ix.Attribute) // zero (null) on delete
+		if !joinindex.Unchanged(oldA, newA) {
+			deltas = append(deltas, delta{name, ix, oldA, newA})
 		}
 	}
 	db.bjiMu.RUnlock()
-	if len(targets) == 0 {
+	if len(deltas) == 0 {
 		return nil
 	}
 	db.bjiLogMu.Lock()
 	defer db.bjiLogMu.Unlock()
 	sh := db.Shards[0]
 	db.bjiTx = sh.Log.Begin()
-	for _, ix := range targets {
-		oldA, _ := old.Field(ix.Attribute) // zero (null) on create
-		newA, _ := new.Field(ix.Attribute) // zero (null) on delete
-		if err := ix.Maintain(oid, oldA, newA); err != nil {
+	for _, d := range deltas {
+		if err := d.ix.Maintain(oid, d.old, d.new); err != nil {
 			aerr := sh.Log.Abort(db.bjiTx, func(page storage.PageID, off int, image []byte, lsn wal.LSN) error {
 				pg, ferr := sh.Pool.Fetch(page)
 				if ferr != nil {
@@ -539,9 +570,9 @@ func (db *DB) maintainBJIs(op byte, class string, oid storage.OID, old, new obje
 				return sh.Pool.Unpin(page, true)
 			})
 			db.bjiMu.Lock()
-			for _, n := range names {
-				delete(db.bjis, n)
-				delete(db.Exec.BJIs, n)
+			for _, d := range deltas {
+				delete(db.bjis, d.name)
+				delete(db.Exec.BJIs, d.name)
 			}
 			db.bjiMu.Unlock()
 			db.invalidatePlans()
@@ -604,7 +635,6 @@ func (db *DB) ExecuteStmt(st sql.Statement) (*Result, error) {
 		if err := db.Cat.DropClass(n.Name); err != nil {
 			return nil, err
 		}
-		db.invalidateStats()
 		db.invalidatePlans()
 		return message("class %s dropped", n.Name), nil
 	case *sql.DropIndex:
@@ -658,7 +688,6 @@ func (db *DB) execCreateClass(n *sql.CreateClass) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.invalidateStats()
 	db.invalidatePlans()
 	kind := "class"
 	if n.IsType {
@@ -722,7 +751,6 @@ func (db *DB) execNewObject(n *sql.NewObject) (*Result, error) {
 	ws := newWriteSet()
 	db.vs.capture(ws, oid, n.Class, object.Null, true)
 	db.vs.commit(ws)
-	db.invalidateStats()
 	res := message("created %s", oid)
 	res.OIDs = []storage.OID{oid}
 	return res, nil
@@ -758,11 +786,32 @@ func (db *DB) execSelect(n *sql.Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.execute(plan)
+}
+
+// execute runs a plan to completion, apart from record migration.
+func (db *DB) execute(plan optimizer.Plan) (*Result, error) {
+	db.holdMoves()
+	defer db.releaseMoves()
 	coll, err := db.Exec.Execute(plan)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Extract(coll), nil
+}
+
+// holdMoves and releaseMoves bracket a read that must not span a record
+// migration (see moveMu); without clustering nothing migrates.
+func (db *DB) holdMoves() {
+	if db.tracer != nil {
+		db.moveMu.RLock()
+	}
+}
+
+func (db *DB) releaseMoves() {
+	if db.tracer != nil {
+		db.moveMu.RUnlock()
+	}
 }
 
 // execExplain implements EXPLAIN [ANALYZE] <select>. Plain EXPLAIN renders
@@ -781,7 +830,9 @@ func (db *DB) execExplain(n *sql.Explain) (*Result, error) {
 		db.lastMu.Unlock()
 		return message("%s", optimizer.Render(plan)), nil
 	}
+	db.holdMoves()
 	_, an, err := db.Exec.ExecuteAnalyzed(plan)
+	db.releaseMoves()
 	if err != nil {
 		return nil, err
 	}
@@ -816,6 +867,8 @@ func (db *DB) matchTargets(fi sql.FromItem, where expr.Expr) ([]storage.OID, err
 		out = append(out, oid)
 		return true
 	}
+	db.holdMoves()
+	defer db.releaseMoves()
 	var err error
 	if fi.Every || len(fi.Minus) > 0 {
 		err = db.Cat.ScanClosure(fi.Class, fi.Minus, check)
@@ -867,7 +920,6 @@ func (db *DB) execUpdate(n *sql.Update) (*Result, error) {
 		}
 	}
 	db.vs.commit(ws)
-	db.invalidateStats()
 	return message("%d object(s) updated", len(targets)), nil
 }
 
@@ -888,6 +940,5 @@ func (db *DB) execDelete(n *sql.Delete) (*Result, error) {
 		}
 	}
 	db.vs.commit(ws)
-	db.invalidateStats()
 	return message("%d object(s) deleted", len(targets)), nil
 }

@@ -113,11 +113,8 @@ func (db *DB) executeCached(statement string) (*Result, bool, error) {
 		db.lastMu.Lock()
 		db.LastPlan, db.LastExplain = plan, ent.explain
 		db.lastMu.Unlock()
-		coll, err := db.Exec.Execute(plan)
-		if err != nil {
-			return nil, true, err
-		}
-		return exec.Extract(coll), true, nil
+		res, err := db.execute(plan)
+		return res, true, err
 	}
 	// Miss: parse with literals tagged as parameters so the optimized plan
 	// is re-bindable, cache it, then run it on this statement's values.

@@ -45,9 +45,9 @@ func (db *DB) Tracer() *cluster.Tracer { return db.tracer }
 
 // Reorganize computes a clustering plan from the traces collected so far and
 // applies it online. Safe to call concurrently with queries: each batch
-// migrates under the owning store's exclusive lock, readers resolve moved
-// records through forward stubs, and the object cache is invalidated per
-// moved object. Returns without error (and without work) when nothing has
+// migrates under the owning store's exclusive lock and between query
+// executions (moveMu), readers resolve moved records through forward stubs,
+// and the object cache is invalidated per moved object. Returns without error (and without work) when nothing has
 // been traced.
 func (db *DB) Reorganize() (ReorgStats, error) {
 	var rs ReorgStats
@@ -61,6 +61,10 @@ func (db *DB) Reorganize() (ReorgStats, error) {
 	if len(plans) == 0 {
 		return rs, nil
 	}
+	// Migration and compaction move pages under the extents without moving
+	// any class's mutation counter, so the whole statistics base goes, on
+	// failure too: batches committed before it moved records.
+	defer db.invalidateStats()
 	// Placements address (shard, file) pairs; map them back to the class
 	// extents the catalog owns. Files not backing a class extent (system
 	// tables, indexes) are never rewritten.
@@ -123,7 +127,9 @@ func (db *DB) Reorganize() (ReorgStats, error) {
 	// Vacated source pages (everything fully forwarded out) are unlinked
 	// and returned to the allocator.
 	for e := range touched {
+		db.moveMu.Lock()
 		freed, err := db.Store.CompactExtent(e)
+		db.moveMu.Unlock()
 		rs.PagesFreed += freed
 		if err != nil {
 			return rs, err
@@ -132,13 +138,14 @@ func (db *DB) Reorganize() (ReorgStats, error) {
 	// Old traces describe the old layout; start fresh so the next plan (and
 	// the learned clustering factors) reflect post-reorganization behavior.
 	db.tracer.Reset()
-	db.invalidateStats()
 	return rs, nil
 }
 
 // migrateBatch moves one batch of records inside one WAL transaction on the
 // owning shard's log.
 func (db *DB) migrateBatch(sh *Shard, e *storage.Extent, part int, batch []storage.OID, cont bool, rs *ReorgStats) error {
+	db.moveMu.Lock()
+	defer db.moveMu.Unlock()
 	tx := sh.Log.Begin()
 	logger := func(pid storage.PageID, off int, before, after []byte) (uint32, error) {
 		lsn, err := sh.Log.Update(tx, pid, off, before, after)

@@ -223,7 +223,6 @@ func (tx *Tx) Commit() error {
 	}
 	tx.done = true
 	defer tx.db.Locks.ReleaseAll(tx.lockID)
-	tx.db.invalidateStats()
 	if tx.ids == nil {
 		if err := tx.db.Log.Commit(tx.id); err != nil {
 			return err
@@ -356,7 +355,6 @@ func (tx *Tx) Abort() error {
 		}
 	}
 	tx.db.vs.abort(tx.ws, resurrected)
-	tx.db.invalidateStats()
 	if tx.ids == nil {
 		return tx.db.Log.Abort(tx.id, nil)
 	}
