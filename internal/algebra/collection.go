@@ -67,8 +67,8 @@ func (r Row) Get(name string) (Bound, bool) {
 	return b, ok
 }
 
-// merged combines two rows (disjoint variable sets).
-func (r Row) merged(o Row) Row {
+// Merged combines two rows (disjoint variable sets).
+func (r Row) Merged(o Row) Row {
 	out := Row{Vars: make(map[string]Bound, len(r.Vars)+len(o.Vars))}
 	for k, v := range r.Vars {
 		out.Vars[k] = v
@@ -211,8 +211,9 @@ func (a *Algebra) BindNamed(name, class string, oid storage.OID) (*Collection, e
 	return singleVar(NamedObjKind, name, class, []Bound{{OID: oid, Val: v}}), nil
 }
 
-// materialize ensures the row's binding carries its value.
-func (a *Algebra) materialize(b *Bound) error {
+// MaterializeBound ensures a binding carries its value, fetching the object
+// when the binding is an OID-only Set/List element.
+func (a *Algebra) MaterializeBound(b *Bound) error {
 	if !b.Val.IsNull() || b.OID.IsNil() {
 		return nil
 	}
@@ -230,7 +231,7 @@ func (a *Algebra) Materialize(c *Collection) error {
 	for i := range c.Rows {
 		for name := range c.Rows[i].Vars {
 			b := c.Rows[i].Vars[name]
-			if err := a.materialize(&b); err != nil {
+			if err := a.MaterializeBound(&b); err != nil {
 				return err
 			}
 			c.Rows[i].Vars[name] = b

@@ -47,7 +47,7 @@ func (a *Algebra) AsExtent(arg *Collection) (*Collection, error) {
 	out := &Collection{Kind: ExtentKind, Name: arg.Name, Class: arg.Class}
 	for _, r := range arg.Rows {
 		b := r.Vars[arg.Name]
-		if err := a.materialize(&b); err != nil {
+		if err := a.MaterializeBound(&b); err != nil {
 			return nil, err
 		}
 		nr := Row{Vars: make(map[string]Bound, len(r.Vars))}
@@ -74,7 +74,7 @@ func (a *Algebra) Unnest(arg *Collection, attr string) (*Collection, error) {
 	out := &Collection{Kind: ExtentKind, Name: arg.Name, Class: ""}
 	for _, r := range arg.Rows {
 		b := r.Vars[arg.Name]
-		if err := a.materialize(&b); err != nil {
+		if err := a.MaterializeBound(&b); err != nil {
 			return nil, err
 		}
 		if b.Val.Kind != object.KindTuple {
@@ -108,7 +108,7 @@ func (a *Algebra) Nest(arg *Collection, attr string) (*Collection, error) {
 	groups := map[string]*group{}
 	for _, r := range arg.Rows {
 		b := r.Vars[arg.Name]
-		if err := a.materialize(&b); err != nil {
+		if err := a.MaterializeBound(&b); err != nil {
 			return nil, err
 		}
 		if b.Val.Kind != object.KindTuple {
@@ -169,7 +169,7 @@ func (a *Algebra) FlattenCollection(arg *Collection) (*Collection, error) {
 	seen := map[storage.OID]bool{}
 	for _, r := range arg.Rows {
 		b := r.Vars[arg.Name]
-		if err := a.materialize(&b); err != nil {
+		if err := a.MaterializeBound(&b); err != nil {
 			return nil, err
 		}
 		if b.Val.Kind != object.KindSet && b.Val.Kind != object.KindList {

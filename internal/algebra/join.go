@@ -31,10 +31,10 @@ func (s JoinSpec) String() string {
 	return fmt.Sprintf("%s.%s = %s.self [%s]", s.LeftVar, s.Attribute, s.RightVar, s.Method)
 }
 
-// joinKind implements Table 2's return-type matrix. With the kinds ranked
+// JoinKind implements Table 2's return-type matrix. With the kinds ranked
 // Extent > Set > List > NamedObj, the result is the higher-ranked of the
 // two argument kinds.
-func joinKind(a, b Kind) Kind {
+func JoinKind(a, b Kind) Kind {
 	rank := func(k Kind) int {
 		switch k {
 		case ExtentKind:
@@ -65,7 +65,7 @@ func (a *Algebra) Join(left, right *Collection, spec JoinSpec) (*Collection, err
 		spec.RightVar = right.Name
 	}
 	out := &Collection{
-		Kind:  joinKind(left.Kind, right.Kind),
+		Kind:  JoinKind(left.Kind, right.Kind),
 		Name:  spec.RightVar,
 		Class: right.Class,
 	}
@@ -108,9 +108,9 @@ func (a *Algebra) Join(left, right *Collection, spec JoinSpec) (*Collection, err
 	return out, nil
 }
 
-// refsOf extracts the reference targets of the join attribute (one for a
+// RefsOf extracts the reference targets of the join attribute (one for a
 // plain reference, several for set/list-valued attributes).
-func refsOf(v object.Value, attr string) []storage.OID {
+func RefsOf(v object.Value, attr string) []storage.OID {
 	av, ok := v.Field(attr)
 	if !ok || av.IsNull() {
 		return nil
@@ -133,8 +133,8 @@ func refsOf(v object.Value, attr string) []storage.OID {
 	return nil
 }
 
-// rowsByOID indexes a collection's rows by the OID of the given variable.
-func rowsByOID(c *Collection, varName string) map[storage.OID][]Row {
+// RowsByOID indexes a collection's rows by the OID of the given variable.
+func RowsByOID(c *Collection, varName string) map[storage.OID][]Row {
 	m := make(map[storage.OID][]Row, len(c.Rows))
 	for _, r := range c.Rows {
 		if b, ok := r.Vars[varName]; ok && !b.OID.IsNil() {
@@ -149,16 +149,16 @@ func rowsByOID(c *Collection, varName string) map[storage.OID][]Row {
 // ftc = RNDCOST(nbpg_c) + RNDCOST(k_c·fan)) and matched against the right
 // rows.
 func (a *Algebra) joinForward(left, right *Collection, spec JoinSpec) ([]Row, error) {
-	rightBy := rowsByOID(right, spec.RightVar)
+	rightBy := RowsByOID(right, spec.RightVar)
 	var out []Row
 	for i := range left.Rows {
 		lrow := left.Rows[i]
 		lb := lrow.Vars[spec.LeftVar]
-		if err := a.materialize(&lb); err != nil {
+		if err := a.MaterializeBound(&lb); err != nil {
 			return nil, err
 		}
 		lrow.Vars[spec.LeftVar] = lb
-		for _, ref := range refsOf(lb.Val, spec.Attribute) {
+		for _, ref := range RefsOf(lb.Val, spec.Attribute) {
 			// Chase the pointer: the physical dereference happens even if
 			// the right side later rejects the object, as in real forward
 			// traversal.
@@ -167,7 +167,7 @@ func (a *Algebra) joinForward(left, right *Collection, spec JoinSpec) ([]Row, er
 				return nil, err
 			}
 			for _, rrow := range rightBy[ref] {
-				merged := lrow.merged(rrow)
+				merged := lrow.Merged(rrow)
 				rb := merged.Vars[spec.RightVar]
 				rb.Val = val
 				merged.Vars[spec.RightVar] = rb
@@ -183,8 +183,8 @@ func (a *Algebra) joinForward(left, right *Collection, spec JoinSpec) ([]Row, er
 // object's reference compared against the selected right objects, and rows
 // restricted to the left collection.
 func (a *Algebra) joinBackward(left, right *Collection, spec JoinSpec) ([]Row, error) {
-	rightBy := rowsByOID(right, spec.RightVar)
-	leftBy := rowsByOID(left, spec.LeftVar)
+	rightBy := RowsByOID(right, spec.RightVar)
+	leftBy := RowsByOID(left, spec.LeftVar)
 	if left.Class == "" {
 		return nil, fmt.Errorf("algebra: backward traversal needs the left class")
 	}
@@ -194,7 +194,7 @@ func (a *Algebra) joinBackward(left, right *Collection, spec JoinSpec) ([]Row, e
 		if !inLeft {
 			return true
 		}
-		for _, ref := range refsOf(v, spec.Attribute) {
+		for _, ref := range RefsOf(v, spec.Attribute) {
 			rrows, hit := rightBy[ref]
 			if !hit {
 				continue
@@ -204,7 +204,7 @@ func (a *Algebra) joinBackward(left, right *Collection, spec JoinSpec) ([]Row, e
 				lb.Val = v
 				lrow.Vars[spec.LeftVar] = lb
 				for _, rrow := range rrows {
-					out = append(out, lrow.merged(rrow))
+					out = append(out, lrow.Merged(rrow))
 				}
 			}
 		}
@@ -219,7 +219,7 @@ func (a *Algebra) joinBJI(left, right *Collection, spec JoinSpec) ([]Row, error)
 	if spec.Index == nil {
 		return nil, fmt.Errorf("%w: binary join index for %s.%s", ErrNoIndex, left.Class, spec.Attribute)
 	}
-	leftBy := rowsByOID(left, spec.LeftVar)
+	leftBy := RowsByOID(left, spec.LeftVar)
 	var out []Row
 	for i := range right.Rows {
 		rrow := right.Rows[i]
@@ -230,7 +230,7 @@ func (a *Algebra) joinBJI(left, right *Collection, spec JoinSpec) ([]Row, error)
 		}
 		for _, src := range sources {
 			for _, lrow := range leftBy[src] {
-				out = append(out, lrow.merged(rrow))
+				out = append(out, lrow.Merged(rrow))
 			}
 		}
 	}
@@ -241,17 +241,17 @@ func (a *Algebra) joinBJI(left, right *Collection, spec JoinSpec) ([]Row, error)
 // chases each *distinct* pointer once (hhc = 3·(k_c/|C|)·SEQCOST(nbpages(C))
 // + RNDCOST(nbpg)), so shared targets are fetched a single time.
 func (a *Algebra) joinHashPartition(left, right *Collection, spec JoinSpec) ([]Row, error) {
-	rightBy := rowsByOID(right, spec.RightVar)
+	rightBy := RowsByOID(right, spec.RightVar)
 	// Partition phase: group left rows by referenced OID.
 	partitions := make(map[storage.OID][]Row)
 	for i := range left.Rows {
 		lrow := left.Rows[i]
 		lb := lrow.Vars[spec.LeftVar]
-		if err := a.materialize(&lb); err != nil {
+		if err := a.MaterializeBound(&lb); err != nil {
 			return nil, err
 		}
 		lrow.Vars[spec.LeftVar] = lb
-		for _, ref := range refsOf(lb.Val, spec.Attribute) {
+		for _, ref := range RefsOf(lb.Val, spec.Attribute) {
 			partitions[ref] = append(partitions[ref], lrow)
 		}
 	}
@@ -276,7 +276,7 @@ func (a *Algebra) joinHashPartition(left, right *Collection, spec JoinSpec) ([]R
 		}
 		for _, lrow := range lrows {
 			for _, rrow := range rrows {
-				merged := lrow.merged(rrow)
+				merged := lrow.Merged(rrow)
 				rb := merged.Vars[spec.RightVar]
 				rb.Val = val
 				merged.Vars[spec.RightVar] = rb
@@ -294,16 +294,16 @@ func (a *Algebra) joinHashPartition(left, right *Collection, spec JoinSpec) ([]R
 // synthesized from the fetched values — the target extent itself is never
 // scanned.
 func (a *Algebra) joinFusion(left, right *Collection, spec JoinSpec) ([]Row, error) {
-	rightBy := rowsByOID(right, spec.RightVar)
+	rightBy := RowsByOID(right, spec.RightVar)
 	partitions := make(map[storage.OID][]Row)
 	for i := range left.Rows {
 		lrow := left.Rows[i]
 		lb := lrow.Vars[spec.LeftVar]
-		if err := a.materialize(&lb); err != nil {
+		if err := a.MaterializeBound(&lb); err != nil {
 			return nil, err
 		}
 		lrow.Vars[spec.LeftVar] = lb
-		for _, ref := range refsOf(lb.Val, spec.Attribute) {
+		for _, ref := range RefsOf(lb.Val, spec.Attribute) {
 			partitions[ref] = append(partitions[ref], lrow)
 		}
 	}
@@ -324,7 +324,7 @@ func (a *Algebra) joinFusion(left, right *Collection, spec JoinSpec) ([]Row, err
 		}
 		for _, lrow := range partitions[ref] {
 			for _, rrow := range rrows {
-				merged := lrow.merged(rrow)
+				merged := lrow.Merged(rrow)
 				rb := merged.Vars[spec.RightVar]
 				rb.Val = vals[i]
 				merged.Vars[spec.RightVar] = rb

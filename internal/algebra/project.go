@@ -83,7 +83,7 @@ func (a *Algebra) Project(arg *Collection, items []ProjItem) (*Collection, error
 			if !ok {
 				return nil, fmt.Errorf("algebra: projection variable %s unbound", it.Var)
 			}
-			if err := a.materialize(&b); err != nil {
+			if err := a.MaterializeBound(&b); err != nil {
 				return nil, err
 			}
 			if len(it.Path) == 0 {
@@ -111,7 +111,7 @@ func (a *Algebra) Partition(arg *Collection, attrs []string) ([]*Collection, err
 	for i := range arg.Rows {
 		row := arg.Rows[i]
 		b := row.Vars[arg.Name]
-		if err := a.materialize(&b); err != nil {
+		if err := a.MaterializeBound(&b); err != nil {
 			return nil, err
 		}
 		row.Vars[arg.Name] = b
@@ -165,7 +165,7 @@ func (a *Algebra) Sort(arg *Collection, keys []SortKey) (*Collection, error) {
 				varName = arg.Name
 			}
 			b := out.Rows[i].Vars[varName]
-			if err := a.materialize(&b); err != nil {
+			if err := a.MaterializeBound(&b); err != nil {
 				return nil, err
 			}
 			v, err := a.followPath(b.Val, k.Path)
@@ -328,7 +328,7 @@ func (a *Algebra) DupElim(arg *Collection) (*Collection, error) {
 		for i := range arg.Rows {
 			row := arg.Rows[i]
 			b := row.Vars[arg.Name]
-			if err := a.materialize(&b); err != nil {
+			if err := a.MaterializeBound(&b); err != nil {
 				return nil, err
 			}
 			row.Vars[arg.Name] = b

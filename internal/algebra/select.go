@@ -58,7 +58,7 @@ func (a *Algebra) IndSel(class, bindName string, indexKind catalog.IndexKind, p 
 	// Strict bounds and key truncation require re-checking the base
 	// predicate against the stored objects.
 	out := &Collection{Kind: SetKind, Name: bindName, Class: class}
-	pred := a.predicateExpr(bindName, p)
+	pred := a.RecheckExpr(bindName, p)
 	re := a.NewRowEvaluator()
 	for _, oid := range oids {
 		v, _, err := a.Cat.GetObject(oid)
@@ -77,8 +77,9 @@ func (a *Algebra) IndSel(class, bindName string, indexKind catalog.IndexKind, p 
 	return out, nil
 }
 
-// predicateExpr rebuilds the expression form of a simple predicate.
-func (a *Algebra) predicateExpr(bindName string, p SimplePredicate) expr.Expr {
+// RecheckExpr rebuilds the expression form of a simple predicate, for
+// re-checking index candidates against the stored objects.
+func (a *Algebra) RecheckExpr(bindName string, p SimplePredicate) expr.Expr {
 	attr := expr.Path(bindName, p.Attribute)
 	if p.Between {
 		return &expr.Between{E: attr, Lo: &expr.Const{Val: p.Constant}, Hi: &expr.Const{Val: p.Constant2}}

@@ -48,7 +48,7 @@ func (re *RowEvaluator) bind(row Row) error {
 		delete(re.env.OIDs, name)
 	}
 	for name, b := range row.Vars {
-		if err := re.a.materialize(&b); err != nil {
+		if err := re.a.MaterializeBound(&b); err != nil {
 			return err
 		}
 		re.env.Vars[name] = b.Val
@@ -133,32 +133,3 @@ func (a *Algebra) IndSelCandidates(class string, indexKind catalog.IndexKind, p 
 	}
 	return out, nil
 }
-
-// RecheckExpr rebuilds the expression form of a simple predicate, for
-// re-checking index candidates against the stored objects.
-func (a *Algebra) RecheckExpr(bindName string, p SimplePredicate) expr.Expr {
-	return a.predicateExpr(bindName, p)
-}
-
-// RowsByOID indexes a collection's rows by the OID of the given variable —
-// the build side of the streaming join operators.
-func RowsByOID(c *Collection, varName string) map[storage.OID][]Row {
-	return rowsByOID(c, varName)
-}
-
-// RefsOf extracts the reference targets of a join attribute (one for a
-// plain reference, several for set/list-valued attributes).
-func RefsOf(v object.Value, attr string) []storage.OID {
-	return refsOf(v, attr)
-}
-
-// Merged combines two rows with disjoint variable sets.
-func (r Row) Merged(o Row) Row { return r.merged(o) }
-
-// MaterializeBound ensures a binding carries its value, fetching the object
-// when the binding is an OID-only Set/List element.
-func (a *Algebra) MaterializeBound(b *Bound) error { return a.materialize(b) }
-
-// JoinKind is Table 2's return-type matrix for joins: the higher-ranked of
-// the two argument kinds.
-func JoinKind(a, b Kind) Kind { return joinKind(a, b) }

@@ -288,16 +288,20 @@ func buildReport(c *compiled) *OpReport {
 		CumClusterPages: c.stats.cpages,
 		CumTime:         c.stats.elapsed,
 	}
-	if ws, ok := c.raw.(workerStatser); ok {
-		r.Workers = ws.WorkerStats()
+	raw := c.raw
+	if x, ok := raw.(*exchangeOp); ok {
+		// An exchange reports its workers plus the annotations of the
+		// operator whose tasks it scheduled.
+		r.Workers = x.workerStats()
+		raw = x.src
 	}
-	if pc, ok := c.raw.(predicateCompiled); ok {
+	if pc, ok := raw.(predicateCompiled); ok {
 		if active, full := pc.compiledPredicate(); active {
 			r.CompiledSet = true
 			r.Compiled = full
 		}
 	}
-	if ap, ok := c.raw.(accessPather); ok {
+	if ap, ok := raw.(accessPather); ok {
 		r.Access = ap.accessPath()
 	}
 	var kidPages, kidHits, kidMisses, kidPrefetched, kidCRefs, kidCPages int64

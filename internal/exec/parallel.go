@@ -2,36 +2,33 @@ package exec
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"mood/internal/algebra"
 	"mood/internal/catalog"
-	"mood/internal/cost"
-	"mood/internal/expr"
-	"mood/internal/funcmgr"
-	"mood/internal/object"
 	"mood/internal/optimizer"
 	"mood/internal/storage"
 )
 
 // This file is the morsel-driven parallel execution path: the physical
-// operators compiled from an optimizer.ExchangePlan. An exchange fans its
-// input's work units — page-range morsels for extent scans, OID chunks for
-// index selections and hash-join probes — out to a bounded pool of worker
-// goroutines and merges the per-task row batches back into one stream in
-// task order. Tasks are numbered in the exact order the serial operator
-// would produce their rows and workers claim tasks through a shared atomic
-// counter (claim order = task order), so the merged stream is byte-identical
-// to the serial one and out-of-order buffering stays bounded by the worker
-// count.
+// operator compiled from an optimizer.ExchangePlan. An exchange does not
+// implement scans, index selections or joins itself. The serial operator
+// its input compiles to hands over its own work as an ordered task set —
+// page-range morsels for extent scans, OID chunks for index selections and
+// hash-join probes — and the exchange fans the tasks out to a bounded pool
+// of worker goroutines, merging the per-task row batches back into one
+// stream in task order. Tasks are numbered in the exact order the serial
+// operator would produce their rows and workers claim tasks through a
+// shared counter (claim order = task order), so the merged stream is
+// byte-identical to the serial one and out-of-order buffering stays
+// bounded by the worker count.
 //
 // On the simulated disk the win is latency hiding, not CPU parallelism:
 // with DiskSim latency emulation enabled, concurrent workers overlap their
 // per-page sleeps, so wall-clock time shrinks. Simulated time must not move
 // with the schedule, yet a disk prices each read by the read before it
-// (sequential or a new positioning). So every operator names each task's
+// (sequential or a new positioning). So every task set names each task's
 // pages, and a worker loads them — charged, not yet slept — while it holds
 // the claim lock: each disk sees the reads in task order, as with one worker.
 
@@ -57,10 +54,26 @@ type WorkerStat struct {
 	Pages int64
 }
 
-// workerStatser is implemented by the exchange operators; EXPLAIN ANALYZE
-// uses it to annotate a parallel node with per-worker figures.
-type workerStatser interface {
-	WorkerStats() []WorkerStat
+// taskSet is an operator's remaining work split into ordered tasks: n
+// tasks, preload pinning one task's pages into a Preload (see claim), and
+// run executing one task with the calling worker's own row evaluator —
+// evaluators reuse one expression environment and are not shareable across
+// goroutines. run returns the task's rows and the page fetches it issued.
+type taskSet struct {
+	n       int
+	preload func(task int, p *storage.Preload) error
+	run     func(re *algebra.RowEvaluator, task int) ([]algebra.Row, int, error)
+}
+
+// exchangeable is implemented by the serial operators an exchange can
+// schedule: the extent scan (with or without a fused selection), the index
+// selection, and the hash-partition join. tasks does the serial setup Open
+// would do (morsel discovery, index probe, join build) and returns the rest
+// of the operator's work as a task set built from its own row-building,
+// recheck and merge code.
+type exchangeable interface {
+	Operator
+	tasks() (taskSet, error)
 }
 
 type taskResult struct {
@@ -69,24 +82,69 @@ type taskResult struct {
 	err  error
 }
 
+// exchangeOp runs an exchangeable operator's task set on exchangeCore. In
+// eager mode (EXPLAIN ANALYZE) the whole fan-out runs inside Open, so the
+// stats wrapper's page delta around Open captures the operator's full
+// footprint exactly; in lazy mode workers produce in the background while
+// the consumer pulls.
+type exchangeOp struct {
+	exchangeCore
+	src exchangeable
+}
+
+func (o *exchangeOp) Open() error {
+	ts, err := o.src.tasks()
+	if err != nil {
+		return err
+	}
+	return o.start(ts)
+}
+
+func (o *exchangeOp) NextBatch(b *RowBatch) (int, error) { return o.nextBatch(b) }
+
+// Close stops the pool, then closes the scheduled operator (and with it a
+// join's inputs).
+func (o *exchangeOp) Close() error {
+	o.closeCore()
+	return o.src.Close()
+}
+
+// compileExchange lowers an ExchangePlan: its input compiles serially, and
+// an input operator that splits into tasks is scheduled by an exchange
+// under the input's header and children. Any other shape stays the serial
+// operator it compiled to, with its own instrumentation, so an exchange
+// can never change results — only scheduling.
+func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *analyzeCtx) (*compiled, error) {
+	in, err := e.compileNode(n.Input, an)
+	if err != nil {
+		return nil, err
+	}
+	src, ok := in.raw.(exchangeable)
+	if !ok {
+		return in, nil
+	}
+	c.hdr, c.kids = in.hdr, in.kids
+	c.op = &exchangeOp{
+		exchangeCore: exchangeCore{alg: e.Alg, workers: exchangeWorkers(n.Workers), eager: an != nil},
+		src:          src,
+	}
+	return c, nil
+}
+
 // exchangeCore schedules numbered tasks across worker goroutines and merges
-// their row batches back in task order. In eager mode (EXPLAIN ANALYZE) the
-// whole fan-out runs inside start, so the stats wrapper's page delta around
-// Open captures the operator's full footprint exactly; in lazy mode workers
-// produce in the background while the consumer pulls.
+// their row batches back in task order.
 type exchangeCore struct {
+	alg     *algebra.Algebra
 	workers int
 	eager   bool
 
-	ntasks    int
-	newWorker func(ws *WorkerStat) func(task int) ([]algebra.Row, error)
-	preload   func(task int, p *storage.Preload) error // pins one task's pages
-	claimMu   sync.Mutex                               // serializes claim + preload
-	next      int                                      // next task to claim; guarded by claimMu
-	stop      atomic.Bool
-	results   chan taskResult
-	wg        sync.WaitGroup
-	wstats    []WorkerStat
+	ts      taskSet
+	claimMu sync.Mutex // serializes claim + preload
+	next    int        // next task to claim; guarded by claimMu
+	stop    atomic.Bool
+	results chan taskResult
+	wg      sync.WaitGroup
+	wstats  []WorkerStat
 
 	buf      map[int][]algebra.Row // completed tasks awaiting their turn
 	seq      int                   // next task to emit
@@ -107,20 +165,13 @@ func exchangeWorkers(n int) int {
 	return n
 }
 
-// start registers the task set. preload pins a task's pages into the given
-// Preload (see claim). newWorker is called once per worker and
-// returns the worker's task function, so per-worker state (each worker's
-// RowEvaluator — evaluators reuse one expression environment and are not
-// shareable across goroutines) is created exactly once. In eager mode the
-// pool launches and drains immediately, inside the caller's Open; in lazy
-// mode launch is deferred to the first NextBatch, so no work happens before the
-// consumer demands a row (and instrumentation around Open measures only the
-// serial setup: morsel discovery, index probes, join builds).
-func (c *exchangeCore) start(ntasks int, preload func(task int, p *storage.Preload) error,
-	newWorker func(ws *WorkerStat) func(task int) ([]algebra.Row, error)) error {
-	c.ntasks = ntasks
-	c.preload = preload
-	c.newWorker = newWorker
+// start registers the task set. In eager mode the pool launches and drains
+// immediately, inside the caller's Open; in lazy mode launch is deferred to
+// the first NextBatch, so no work happens before the consumer demands a row
+// (and instrumentation around Open measures only the serial setup: morsel
+// discovery, index probes, join builds).
+func (c *exchangeCore) start(ts taskSet) error {
+	c.ts = ts
 	c.buf = make(map[int][]algebra.Row)
 	c.started = true
 	if c.eager {
@@ -140,30 +191,34 @@ func (c *exchangeCore) launch() {
 		return
 	}
 	c.launched = true
-	c.results = make(chan taskResult, c.ntasks)
+	c.results = make(chan taskResult, c.ts.n)
 	nw := c.workers
 	if nw < 1 {
 		nw = 1
 	}
-	if nw > c.ntasks {
-		nw = c.ntasks
+	if nw > c.ts.n {
+		nw = c.ts.n
 	}
 	c.wstats = make([]WorkerStat, nw)
 	for w := 0; w < nw; w++ {
-		run := c.newWorker(&c.wstats[w])
+		ws := &c.wstats[w]
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
+			re := c.alg.NewRowEvaluator()
 			var pl storage.Preload
 			for !c.stop.Load() {
 				t, err := c.claim(&pl)
-				if t >= c.ntasks {
+				if t >= c.ts.n {
 					return
 				}
 				var rows []algebra.Row
 				if err == nil {
 					pl.Wait()
-					rows, err = run(t)
+					var pages int
+					rows, pages, err = c.ts.run(re, t)
+					ws.Rows += int64(len(rows))
+					ws.Pages += int64(pages)
 				}
 				if rerr := pl.Release(); err == nil {
 					err = rerr
@@ -180,27 +235,28 @@ func (c *exchangeCore) launch() {
 	}
 }
 
-// claim takes the next task number and pins that task's pages into p before the claim lock drops. Disk reads are therefore
-// charged task by task in task order whatever the goroutine schedule, and
-// simulated time — whose random/sequential split depends on read order —
-// equals a one-worker run's. Reads a task makes beyond the pages it names
+// claim takes the next task number and pins that task's pages into p
+// before the claim lock drops. Disk reads are therefore charged task by
+// task in task order whatever the goroutine schedule, and simulated time —
+// whose random/sequential split depends on read order — equals a
+// one-worker run's. Reads a task makes beyond the pages it names
 // (overflow chains, references chased by a predicate) are charged when the
-// task makes them. Returns ntasks when none are left.
+// task makes them. Returns ts.n when none are left.
 func (c *exchangeCore) claim(p *storage.Preload) (int, error) {
 	c.claimMu.Lock()
 	defer c.claimMu.Unlock()
 	t := c.next
-	if t >= c.ntasks {
+	if t >= c.ts.n {
 		return t, nil
 	}
 	c.next++
-	return t, c.preload(t, p)
+	return t, c.ts.preload(t, p)
 }
 
 // drainEager collects every task's result before returning, so an analyzed
 // exchange does all its work (and all its page reads) inside Open.
 func (c *exchangeCore) drainEager() error {
-	for got := 0; got < c.ntasks; got++ {
+	for got := 0; got < c.ts.n; got++ {
 		res := <-c.results
 		if res.err != nil {
 			c.err = res.err
@@ -236,7 +292,7 @@ func (c *exchangeCore) nextBatch(b *RowBatch) (int, error) {
 			c.ci += take
 			continue
 		}
-		if c.seq >= c.ntasks {
+		if c.seq >= c.ts.n {
 			break
 		}
 		if rows, ok := c.buf[c.seq]; ok {
@@ -298,290 +354,4 @@ func chunkOIDs(oids []storage.OID, per int) [][]storage.OID {
 		off = end
 	}
 	return chunks
-}
-
-// --- parallel operators ---------------------------------------------------
-
-// exchangeScanOp is the parallel extent scan, optionally with a fused
-// selection: workers read disjoint page-range morsels and evaluate the
-// predicate on their own rows with a per-worker evaluator.
-type exchangeScanOp struct {
-	core    exchangeCore
-	alg     *algebra.Algebra
-	class   string
-	varName string
-	minus   []string
-	closure bool
-	pred    expr.Expr // nil for a bare BIND
-	funcs   *funcmgr.QueryRegistry
-	predFn  expr.PredFn // self-mode compiled predicate, shared read-only by workers; nil → interpret
-}
-
-func (o *exchangeScanOp) Open() error {
-	morsels, err := o.alg.Cat.ExtentMorsels(o.class, o.minus, o.closure, exchangeMorselPages)
-	if err != nil {
-		return err
-	}
-	if o.pred != nil {
-		o.predFn, _ = o.funcs.Predicate(o.varName, o.pred)
-	}
-	resolve := o.alg.Cat.Resolver()
-	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadMorsel(p, &morsels[t]) }
-	return o.core.start(len(morsels), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
-		re := o.alg.NewRowEvaluator()
-		return func(t int) ([]algebra.Row, error) {
-			m := &morsels[t]
-			// Fused + compiled: push the predicate into the morsel's
-			// page-decode loop, as in the serial scanSelectOp — rejected
-			// objects are never copied out of the page/cache.
-			var filter func(oid storage.OID, v *object.Value) (bool, error)
-			if o.predFn != nil {
-				filter = func(oid storage.OID, v *object.Value) (bool, error) {
-					return o.predFn(v, oid, resolve)
-				}
-			}
-			objs, err := o.alg.Cat.ReadMorselFiltered(m, filter)
-			if err != nil {
-				return nil, err
-			}
-			ws.Pages += int64(len(m.Pages))
-			rows := make([]algebra.Row, 0, len(objs))
-			for i := range objs {
-				so := &objs[i]
-				row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: so.OID, Val: so.Val}}}
-				if o.pred != nil && o.predFn == nil {
-					keep, err := re.EvalBool(row, o.pred)
-					if err != nil {
-						return nil, err
-					}
-					if !keep {
-						continue
-					}
-				}
-				rows = append(rows, row)
-			}
-			ws.Rows += int64(len(rows))
-			return rows, nil
-		}
-	})
-}
-
-func (o *exchangeScanOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
-func (o *exchangeScanOp) Close() error                       { o.core.closeCore(); return nil }
-func (o *exchangeScanOp) WorkerStats() []WorkerStat          { return o.core.workerStats() }
-
-func (o *exchangeScanOp) compiledPredicate() (active, full bool) {
-	return o.pred != nil, o.predFn != nil
-}
-
-// exchangeIndSelOp is the parallel index selection: the index probe runs
-// serially at Open (it is a handful of index-page touches), then workers
-// dereference disjoint OID chunks and re-check the predicate.
-type exchangeIndSelOp struct {
-	core      exchangeCore
-	alg       *algebra.Algebra
-	class     string
-	varName   string
-	indexKind catalog.IndexKind
-	pred      algebra.SimplePredicate
-}
-
-func (o *exchangeIndSelOp) Open() error {
-	oids, err := o.alg.IndSelCandidates(o.class, o.indexKind, o.pred)
-	if err != nil {
-		return err
-	}
-	recheck := o.alg.RecheckExpr(o.varName, o.pred)
-	chunks := chunkOIDs(oids, exchangeOIDChunk)
-	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) }
-	return o.core.start(len(chunks), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
-		re := o.alg.NewRowEvaluator()
-		return func(t int) ([]algebra.Row, error) {
-			// One page-ordered batch fetch per chunk: the chunk's OIDs
-			// arrive sorted and page-aligned, so the whole chunk resolves
-			// with one pin per page instead of one random Get per OID.
-			vals, _, err := o.alg.Cat.GetObjects(chunks[t])
-			if err != nil {
-				return nil, err
-			}
-			ws.Pages += int64(len(chunks[t]))
-			var rows []algebra.Row
-			for i, oid := range chunks[t] {
-				row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: vals[i]}}}
-				ok, err := re.EvalBool(row, recheck)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					// Match IndSel: emitted rows carry the identifier only.
-					rows = append(rows, algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}})
-				}
-			}
-			ws.Rows += int64(len(rows))
-			return rows, nil
-		}
-	})
-}
-
-func (o *exchangeIndSelOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
-func (o *exchangeIndSelOp) Close() error                       { o.core.closeCore(); return nil }
-func (o *exchangeIndSelOp) WorkerStats() []WorkerStat          { return o.core.workerStats() }
-
-// exchangeHashJoinOp parallelizes the hash-partition join's probe phase.
-// The build runs once, serially, exactly as in hashJoinOp.Open: both inputs
-// drain, the left rows partition on the pointer field, and the distinct
-// referenced OIDs sort. Workers then dereference disjoint sorted-order ref
-// chunks against the shared read-only partition and right-side maps.
-type exchangeHashJoinOp struct {
-	core        exchangeCore
-	alg         *algebra.Algebra
-	left, right *compiled
-	leftVar     string
-	attr        string
-	rightVar    string
-}
-
-func (o *exchangeHashJoinOp) Open() error {
-	lc, err := o.left.drain()
-	if err != nil {
-		return err
-	}
-	rc, err := o.right.drain()
-	if err != nil {
-		return err
-	}
-	rightBy := algebra.RowsByOID(rc, o.rightVar)
-	partitions, err := partitionByRef(o.alg, lc, o.leftVar, o.attr)
-	if err != nil {
-		return err
-	}
-	refs := make([]storage.OID, 0, len(partitions))
-	for ref := range partitions {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	// Only refs the right side holds are dereferenced (as in the serial
-	// probe); each chunk's survivors resolve through one page-ordered batch
-	// fetch.
-	chunks := chunkOIDs(refs, exchangeOIDChunk)
-	for i, chunk := range chunks {
-		hits := make([]storage.OID, 0, len(chunk))
-		for _, ref := range chunk {
-			if _, hit := rightBy[ref]; hit {
-				hits = append(hits, ref)
-			}
-		}
-		chunks[i] = hits
-	}
-	preload := func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) }
-	return o.core.start(len(chunks), preload, func(ws *WorkerStat) func(int) ([]algebra.Row, error) {
-		return func(t int) ([]algebra.Row, error) {
-			hits := chunks[t]
-			vals, _, err := o.alg.Cat.GetObjects(hits)
-			if err != nil {
-				return nil, err
-			}
-			ws.Pages += int64(len(hits))
-			var rows []algebra.Row
-			for i, ref := range hits {
-				val := vals[i]
-				for _, lrow := range partitions[ref] {
-					for _, rrow := range rightBy[ref] {
-						merged := lrow.Merged(rrow)
-						rb := merged.Vars[o.rightVar]
-						rb.Val = val
-						merged.Vars[o.rightVar] = rb
-						rows = append(rows, merged)
-					}
-				}
-			}
-			ws.Rows += int64(len(rows))
-			return rows, nil
-		}
-	})
-}
-
-func (o *exchangeHashJoinOp) NextBatch(b *RowBatch) (int, error) { return o.core.nextBatch(b) }
-
-func (o *exchangeHashJoinOp) Close() error {
-	o.core.closeCore()
-	err := o.left.op.Close()
-	if err2 := o.right.op.Close(); err == nil {
-		err = err2
-	}
-	return err
-}
-
-func (o *exchangeHashJoinOp) WorkerStats() []WorkerStat { return o.core.workerStats() }
-
-func (o *exchangeHashJoinOp) accessPath() string { return "hash" }
-
-// compileExchange lowers an ExchangePlan onto one of the parallel operators.
-// The optimizer only wraps exchangeable shapes, but compilation double-checks
-// and falls back to compiling the input serially for anything else, so an
-// exchange can never change results — only scheduling.
-func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *analyzeCtx) (*compiled, error) {
-	workers := exchangeWorkers(n.Workers)
-	eager := an != nil
-
-	switch in := n.Input.(type) {
-	case *optimizer.BindPlan:
-		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: in.Var, Class: in.Class}
-		c.op = &exchangeScanOp{
-			core: exchangeCore{workers: workers, eager: eager},
-			alg:  e.Alg, class: in.Class, varName: in.Var,
-			minus: in.Minus, closure: in.Every || len(in.Minus) > 0,
-		}
-		return c, nil
-
-	case *optimizer.SelectPlan:
-		bp, ok := in.Input.(*optimizer.BindPlan)
-		if !ok {
-			return e.compileNode(n.Input, an)
-		}
-		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: bp.Var, Class: bp.Class}
-		c.op = &exchangeScanOp{
-			core: exchangeCore{workers: workers, eager: eager},
-			alg:  e.Alg, class: bp.Class, varName: bp.Var,
-			minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0,
-			pred: in.Pred, funcs: e.queryFuncs(),
-		}
-		return c, nil
-
-	case *optimizer.IndSelPlan:
-		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: in.Var, Class: in.Class}
-		c.op = &exchangeIndSelOp{
-			core: exchangeCore{workers: workers, eager: eager},
-			alg:  e.Alg, class: in.Class, varName: in.Var,
-			indexKind: in.Index.Kind, pred: in.Pred,
-		}
-		return c, nil
-
-	case *optimizer.JoinPlan:
-		if in.Method != cost.HashPartition {
-			return e.compileNode(n.Input, an)
-		}
-		left, err := e.compileNode(in.Left, an)
-		if err != nil {
-			return nil, err
-		}
-		c.kids = append(c.kids, left)
-		right, err := e.compileNode(in.Right, an)
-		if err != nil {
-			return nil, err
-		}
-		c.kids = append(c.kids, right)
-		c.hdr = optimizer.Header{
-			Kind:  algebra.JoinKind(left.hdr.Kind, right.hdr.Kind),
-			Name:  in.RightVar,
-			Class: right.hdr.Class,
-		}
-		c.op = &exchangeHashJoinOp{
-			core: exchangeCore{workers: workers, eager: eager},
-			alg:  e.Alg, left: left, right: right,
-			leftVar: in.LeftVar, attr: in.Attribute, rightVar: in.RightVar,
-		}
-		return c, nil
-	}
-	return e.compileNode(n.Input, an)
 }

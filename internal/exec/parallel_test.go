@@ -1,16 +1,19 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"mood/internal/cost"
 	"mood/internal/optimizer"
 	"mood/internal/sql"
 )
 
 // parallelQueries are plan shapes covering every exchangeable operator:
-// bare extent scan, scan with fused selection, index selection, hash-join
-// chains, and pipeline breakers (group/sort/dup-elim) fed by exchanges.
+// bare extent scan, scan with fused selection, index selection (over the
+// indexed fixture), hash-join chains, and pipeline breakers
+// (group/sort/dup-elim) fed by exchanges.
 var parallelQueries = []string{
 	`SELECT v FROM Vehicle v`,
 	`SELECT v FROM Vehicle v WHERE v.weight > 1200`,
@@ -18,6 +21,7 @@ var parallelQueries = []string{
 	`SELECT v FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2`,
 	`SELECT v FROM Vehicle v WHERE v.drivetrain.transmission = 'MANUAL' ORDER BY v.weight DESC`,
 	`SELECT c FROM Company c WHERE c.location = 'Tokyo'`,
+	`SELECT v FROM Vehicle v WHERE v.weight BETWEEN 1200 AND 1220`,
 }
 
 // parallelizedPlan runs the fixture's optimizer, then rewrites the plan for
@@ -39,33 +43,131 @@ func (f *fixture) parallelizedPlan(t *testing.T, query string) (optimizer.Plan, 
 // TestParallelStreamingMatchesSerial holds the three execution paths equal
 // on the same logical plan: serial streaming, parallel streaming (the
 // Parallelize rewrite of the identical plan), and the materialized reference
-// path over the parallel plan. Row values and row order must all agree.
+// path over the parallel plan. Row values and row order must all agree. An
+// exchange runs the serial operator's own code, so EXPLAIN ANALYZE must
+// annotate both plans with the same compiled= marks, node for node.
 func TestParallelStreamingMatchesSerial(t *testing.T) {
+	exchanged := map[string]int{}
+	for _, f := range []*fixture{defaultFixture(t), indexedFixture(t)} {
+		for _, q := range parallelQueries {
+			f.checkParallelMatchesSerial(t, q, exchanged)
+		}
+	}
+	for _, shape := range []string{"scan", "select", "indsel", "hashjoin"} {
+		if exchanged[shape] == 0 {
+			t.Errorf("no query exchanged a %s; that exchange path was never exercised", shape)
+		}
+	}
+}
+
+// checkParallelMatchesSerial runs one query serially, through its
+// Parallelize rewrite and materialized, tallying the rewrite's exchanges.
+func (f *fixture) checkParallelMatchesSerial(t *testing.T, q string, exchanged map[string]int) {
+	t.Helper()
+	plan, pplan := f.parallelizedPlan(t, q)
+	countExchanged(pplan, exchanged)
+	serial, err := f.ex.Execute(plan)
+	if err != nil {
+		t.Fatalf("serial execute %s: %v", q, err)
+	}
+	par, err := f.ex.Execute(pplan)
+	if err != nil {
+		t.Fatalf("parallel execute %s: %v\nplan:\n%s", q, err, optimizer.Render(pplan))
+	}
+	assertCollectionsEqual(t, "parallel vs serial: "+q, par, serial)
+	mat, err := f.ex.ExecuteMaterialized(pplan)
+	if err != nil {
+		t.Fatalf("materialized execute %s: %v", q, err)
+	}
+	assertCollectionsEqual(t, "parallel vs materialized: "+q, par, mat)
+
+	sColl, sAn, err := f.ex.ExecuteAnalyzed(plan)
+	if err != nil {
+		t.Fatalf("serial analyze %s: %v", q, err)
+	}
+	pColl, pAn, err := f.ex.ExecuteAnalyzed(pplan)
+	if err != nil {
+		t.Fatalf("parallel analyze %s: %v", q, err)
+	}
+	assertCollectionsEqual(t, "analyzed parallel vs serial: "+q, pColl, sColl)
+	if s, p := compiledMarks(sAn.Root), compiledMarks(pAn.Root); s != p {
+		t.Errorf("%s: compiled= marks differ\nserial:   %s\nparallel: %s\n%s", q, s, p, pAn.Render())
+	}
+}
+
+// countExchanged tallies a plan's exchanges by the shape of their input.
+func countExchanged(p optimizer.Plan, into map[string]int) {
+	if ex, ok := p.(*optimizer.ExchangePlan); ok {
+		switch in := ex.Input.(type) {
+		case *optimizer.BindPlan:
+			into["scan"]++
+		case *optimizer.SelectPlan:
+			into["select"]++
+		case *optimizer.IndSelPlan:
+			into["indsel"]++
+		case *optimizer.JoinPlan:
+			if in.Method == cost.HashPartition {
+				into["hashjoin"]++
+			}
+		}
+	}
+	for _, k := range optimizer.Children(p) {
+		countExchanged(k, into)
+	}
+}
+
+// compiledMarks renders a report tree's compiled= annotations in pre-order,
+// one entry per node ("-" where a node has none).
+func compiledMarks(r *OpReport) string {
+	mark := "-"
+	if r.CompiledSet {
+		mark = fmt.Sprintf("compiled=%t", r.Compiled)
+	}
+	for _, k := range r.Kids {
+		mark += " " + compiledMarks(k)
+	}
+	return mark
+}
+
+// TestExchangeOverNonHashJoinRunsSerial: only scans, index selections and
+// hash joins split into tasks. An exchange over any other join compiles to
+// the serial join operator itself — no worker stats, the join's own access
+// path — and yields the serial rows.
+func TestExchangeOverNonHashJoinRunsSerial(t *testing.T) {
 	f := defaultFixture(t)
-	exchanged := 0
-	for _, q := range parallelQueries {
-		plan, pplan := f.parallelizedPlan(t, q)
-		if strings.Contains(optimizer.Render(pplan), "EXCHANGE(") {
-			exchanged++
-		}
-		serial, err := f.ex.Execute(plan)
-		if err != nil {
-			t.Fatalf("serial execute %s: %v", q, err)
-		}
-		par, err := f.ex.Execute(pplan)
-		if err != nil {
-			t.Fatalf("parallel execute %s: %v\nplan:\n%s", q, err, optimizer.Render(pplan))
-		}
-		assertCollectionsEqual(t, "parallel vs serial: "+q, par, serial)
-		mat, err := f.ex.ExecuteMaterialized(pplan)
-		if err != nil {
-			t.Fatalf("materialized execute %s: %v", q, err)
-		}
-		assertCollectionsEqual(t, "parallel vs materialized: "+q, par, mat)
+	forward := cost.ForwardTraversal
+	f.opt.ForceJoinMethod = &forward
+	defer func() { f.opt.ForceJoinMethod = nil }()
+	plan, _ := f.parallelizedPlan(t, `SELECT v FROM Vehicle v WHERE v.drivetrain.engine.cylinders = 2`)
+	join := findJoin(plan)
+	if join == nil || join.Method != cost.ForwardTraversal {
+		t.Fatalf("no forward join in:\n%s", optimizer.Render(plan))
 	}
-	if exchanged == 0 {
-		t.Fatal("no query produced an EXCHANGE node; the parallel path was never exercised")
+	serial, err := f.ex.Execute(join)
+	if err != nil {
+		t.Fatal(err)
 	}
+	par, an, err := f.ex.ExecuteAnalyzed(&optimizer.ExchangePlan{Input: join, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCollectionsEqual(t, "exchange over forward join", par, serial)
+	if an.Root.Plan != optimizer.Plan(join) || an.Root.Workers != nil || an.Root.Access != "forward" {
+		t.Errorf("exchange over a forward join did not compile to the serial join:\n%s", an.Render())
+	}
+}
+
+// findJoin returns the first join of a plan in pre-order, nil if none.
+func findJoin(p optimizer.Plan) *optimizer.JoinPlan {
+	if j, ok := p.(*optimizer.JoinPlan); ok {
+		return j
+	}
+	for _, k := range optimizer.Children(p) {
+		if j := findJoin(k); j != nil {
+			return j
+		}
+	}
+	return nil
 }
 
 // TestParallelEarlyClose stops a parallel pipeline after a handful of rows:

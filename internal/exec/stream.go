@@ -104,10 +104,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 	switch n := p.(type) {
 	case *optimizer.BindPlan:
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: n.Var, Class: n.Class}
-		c.op = &bindOp{
-			alg: e.Alg, class: n.Class, varName: n.Var,
-			minus: n.Minus, closure: n.Every || len(n.Minus) > 0,
-		}
+		c.op = e.scanOp(n, nil)
 
 	case *optimizer.IndSelPlan:
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: n.Var, Class: n.Class}
@@ -143,19 +140,10 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 
 	case *optimizer.SelectPlan:
 		if bp, ok := n.Input.(*optimizer.BindPlan); ok {
-			// Fused scan-selection (the serial analogue of the exchange
-			// path's fused morsel scan): the predicate runs against each
-			// object straight off the extent cursor, through the self-mode
-			// compiled form when it lowers. The BIND child disappears from
-			// the operator tree; EXPLAIN ANALYZE annotates the fused node.
+			// Fused scan-selection: the BIND child disappears from the
+			// operator tree; EXPLAIN ANALYZE annotates the fused node.
 			c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: bp.Var, Class: bp.Class}
-			op := &scanSelectOp{
-				alg: e.Alg, class: bp.Class, varName: bp.Var,
-				minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0,
-				pred: n.Pred, re: e.Alg.NewRowEvaluator(),
-			}
-			op.predFn, op.compiled = e.queryFuncs().Predicate(bp.Var, n.Pred)
-			c.op = op
+			c.op = e.scanOp(bp, n.Pred)
 			break
 		}
 		in, err := child(n.Input)
@@ -199,7 +187,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				re:         e.Alg.NewRowEvaluator(),
 			}
 			if pred != nil {
-				op.predFn, op.compiled = e.queryFuncs().Predicate(bp.Var, pred)
+				op.predFn, _ = e.queryFuncs().Predicate(bp.Var, pred)
 			}
 			c.op = op
 			break
@@ -314,13 +302,9 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 
 	case *optimizer.ExchangePlan:
 		cc, err := e.compileExchange(c, n, an)
-		if err != nil {
-			return nil, err
-		}
-		if cc != c {
-			// Non-exchangeable input shape: the fallback compiled the input
-			// serially and already carries its own instrumentation.
-			return cc, nil
+		if err != nil || cc != c {
+			// A serial fallback already carries its own instrumentation.
+			return cc, err
 		}
 
 	default:
@@ -337,70 +321,40 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 
 // --- leaf operators -------------------------------------------------------
 
-// bindOp streams a class extent (closure or direct) through the catalog's
-// page-at-a-time cursor: BIND(Class, var).
-type bindOp struct {
+// scanOp lowers BIND(Class, var), fusing the selection P over it when pred
+// is non-nil.
+func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr) *scanSelectOp {
+	op := &scanSelectOp{
+		alg: e.Alg, class: bp.Class, varName: bp.Var,
+		minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0, pred: pred,
+	}
+	if pred != nil {
+		if op.predFn, _ = e.queryFuncs().Predicate(bp.Var, pred); op.predFn == nil {
+			op.re = e.Alg.NewRowEvaluator()
+		}
+	}
+	return op
+}
+
+// scanSelectOp streams a class extent through the catalog's page-at-a-time
+// cursor — BIND(Class, var) — and fuses SELECT(BIND(...), P) into the same
+// operator when it has a predicate: each object comes off the extent cursor
+// and is filtered before a row is ever built, so non-matching objects cost
+// neither a Vars map allocation nor an environment bind. When the predicate
+// lowers to self mode (compiled through the Function Manager's query
+// registry) the per-object check is a direct closure call pushed into the
+// cursor; otherwise (method calls) the row is built and the predicate
+// interpreted.
+type scanSelectOp struct {
 	alg     *algebra.Algebra
 	class   string
 	varName string
 	minus   []string
 	closure bool
+	pred    expr.Expr   // nil for a bare BIND
+	predFn  expr.PredFn // self-mode compiled; nil → interpret through re
+	re      *algebra.RowEvaluator
 	cur     *catalog.ExtentCursor
-}
-
-func (o *bindOp) Open() error {
-	cur, err := o.alg.Cat.OpenExtentScan(o.class, o.minus, o.closure)
-	if err != nil {
-		return err
-	}
-	o.cur = cur
-	return nil
-}
-
-// NextBatch pulls straight from the extent cursor; the cursor reads pages
-// on demand, so a partially consumed batch never over-reads.
-func (o *bindOp) NextBatch(b *RowBatch) (int, error) {
-	n := 0
-	for n < len(b.Rows) {
-		oid, v, ok, err := o.cur.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
-		n++
-	}
-	return n, nil
-}
-
-func (o *bindOp) Close() error {
-	if o.cur != nil {
-		o.cur.Close()
-	}
-	return nil
-}
-
-// scanSelectOp fuses SELECT(BIND(...), P) into one operator: each object
-// comes off the extent cursor and is filtered before a row is ever built,
-// so non-matching objects cost neither a Vars map allocation nor an
-// environment bind. When the predicate lowers to self mode (compiled
-// through the Function Manager's query registry) the per-object check is a
-// direct closure call pushed into the cursor; otherwise (method calls) the
-// row is built and the predicate interpreted.
-type scanSelectOp struct {
-	alg      *algebra.Algebra
-	class    string
-	varName  string
-	minus    []string
-	closure  bool
-	pred     expr.Expr
-	predFn   expr.PredFn // self-mode compiled; nil → interpret through re
-	compiled bool
-	re       *algebra.RowEvaluator
-	resolve  object.Resolver
-	cur      *catalog.ExtentCursor
 }
 
 func (o *scanSelectOp) Open() error {
@@ -409,19 +363,38 @@ func (o *scanSelectOp) Open() error {
 		return err
 	}
 	o.cur = cur
-	o.resolve = o.alg.Cat.Resolver()
-	if o.predFn != nil {
-		// Push the compiled predicate into the cursor's page-decode loop:
-		// rejected objects are filtered in place and never buffered, so the
-		// fused operator pays nothing per non-matching object beyond the
-		// predicate call itself. Page reads are unchanged.
-		cur.SetFilter(func(oid storage.OID, v *object.Value) (bool, error) {
-			return o.predFn(v, oid, o.resolve)
-		})
-	}
+	cur.SetFilter(o.filter())
 	return nil
 }
 
+// filter is the compiled predicate in the form the extent readers push into
+// their page-decode loops: rejected objects are filtered in place and never
+// buffered, so the fused operator pays nothing per non-matching object
+// beyond the predicate call itself. Page reads are unchanged. nil when
+// there is no compiled predicate.
+func (o *scanSelectOp) filter() func(storage.OID, *object.Value) (bool, error) {
+	if o.predFn == nil {
+		return nil
+	}
+	resolve := o.alg.Cat.Resolver()
+	return func(oid storage.OID, v *object.Value) (bool, error) {
+		return o.predFn(v, oid, resolve)
+	}
+}
+
+// row builds the row of an object the filter passed and interprets the
+// predicate the filter could not run.
+func (o *scanSelectOp) row(re *algebra.RowEvaluator, oid storage.OID, v object.Value) (algebra.Row, bool, error) {
+	row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
+	if o.pred == nil || o.predFn != nil {
+		return row, true, nil
+	}
+	keep, err := re.EvalBool(row, o.pred)
+	return row, keep, err
+}
+
+// NextBatch pulls straight from the extent cursor; the cursor reads pages
+// on demand, so a partially consumed batch never over-reads.
 func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
 	for n < len(b.Rows) {
@@ -432,20 +405,47 @@ func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 		if !ok {
 			break
 		}
-		row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}
-		if o.predFn == nil { // cursor-filtered objects already passed
-			keep, err := o.re.EvalBool(row, o.pred)
-			if err != nil {
-				return 0, err
-			}
-			if !keep {
-				continue
-			}
+		row, keep, err := o.row(o.re, oid, *v)
+		if err != nil {
+			return 0, err
 		}
-		b.Rows[n] = row
-		n++
+		if keep {
+			b.Rows[n] = row
+			n++
+		}
 	}
 	return n, nil
+}
+
+// tasks splits the scan into page-range morsels in the cursor's visiting
+// order; a worker reads a morsel through the same filter and row builder.
+func (o *scanSelectOp) tasks() (taskSet, error) {
+	morsels, err := o.alg.Cat.ExtentMorsels(o.class, o.minus, o.closure, exchangeMorselPages)
+	if err != nil {
+		return taskSet{}, err
+	}
+	filter := o.filter()
+	return taskSet{
+		n:       len(morsels),
+		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadMorsel(p, &morsels[t]) },
+		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+			objs, err := o.alg.Cat.ReadMorselFiltered(&morsels[t], filter)
+			if err != nil {
+				return nil, 0, err
+			}
+			rows := make([]algebra.Row, 0, len(objs))
+			for i := range objs {
+				row, keep, err := o.row(re, objs[i].OID, objs[i].Val)
+				if err != nil {
+					return nil, 0, err
+				}
+				if keep {
+					rows = append(rows, row)
+				}
+			}
+			return rows, len(morsels[t].Pages), nil
+		},
+	}, nil
 }
 
 func (o *scanSelectOp) Close() error {
@@ -456,7 +456,7 @@ func (o *scanSelectOp) Close() error {
 }
 
 func (o *scanSelectOp) compiledPredicate() (active, full bool) {
-	return true, o.predFn != nil && o.compiled
+	return o.pred != nil, o.predFn != nil
 }
 
 // withCandidatesOnly is implemented by operators that can restrict
@@ -514,13 +514,7 @@ func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			var ok bool
-			if o.predFn != nil {
-				ok, err = o.predFn(&v, oid, o.resolve)
-			} else {
-				row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
-				ok, err = o.re.EvalBool(row, o.recheck)
-			}
+			ok, err := o.recheckOne(o.re, oid, &v)
 			if err != nil {
 				return 0, err
 			}
@@ -528,11 +522,56 @@ func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 				continue
 			}
 		}
-		// Match IndSel: emitted rows carry the identifier only.
-		b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
+		b.Rows[n] = o.idRow(oid)
 		n++
 	}
 	return n, nil
+}
+
+// recheckOne re-checks one fetched candidate against the predicate, through
+// the compiled form when it lowers.
+func (o *indSelOp) recheckOne(re *algebra.RowEvaluator, oid storage.OID, v *object.Value) (bool, error) {
+	if o.predFn != nil {
+		return o.predFn(v, oid, o.resolve)
+	}
+	return re.EvalBool(algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}, o.recheck)
+}
+
+// idRow is an emitted row: as in IndSel, it carries the identifier only.
+func (o *indSelOp) idRow(oid storage.OID) algebra.Row {
+	return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
+}
+
+// tasks probes the index (Open) and splits the candidates into page-aligned
+// chunks; a worker fetches a chunk in one page-ordered batch — one pin per
+// page instead of one random Get per OID — and rechecks it as NextBatch
+// does.
+func (o *indSelOp) tasks() (taskSet, error) {
+	if err := o.Open(); err != nil {
+		return taskSet{}, err
+	}
+	chunks := chunkOIDs(o.oids, exchangeOIDChunk)
+	return taskSet{
+		n:       len(chunks),
+		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) },
+		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+			vals, _, err := o.alg.Cat.GetObjects(chunks[t])
+			if err != nil {
+				return nil, 0, err
+			}
+			var rows []algebra.Row
+			for i, oid := range chunks[t] {
+				ok, err := o.recheckOne(re, oid, &vals[i])
+				if err != nil {
+					return nil, 0, err
+				}
+				if ok {
+					rows = append(rows, o.idRow(oid))
+				}
+			}
+			return rows, len(chunks[t]), nil
+		},
+	}, nil
 }
 
 func (o *indSelOp) Close() error { return nil }
@@ -1037,32 +1076,47 @@ type hashJoinOp struct {
 }
 
 func (o *hashJoinOp) Open() error {
-	lc, err := o.left.drain()
+	refs, err := o.build()
 	if err != nil {
 		return err
 	}
-	rc, err := o.right.drain()
-	if err != nil {
-		return err
-	}
-	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
-	o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr)
-	if err != nil {
-		return err
-	}
-	o.refs = make([]storage.OID, 0, len(o.partitions))
-	for ref := range o.partitions {
-		if _, hit := o.rightBy[ref]; hit {
-			o.refs = append(o.refs, ref)
-		}
-	}
-	sort.Slice(o.refs, func(i, j int) bool { return o.refs[i] < o.refs[j] })
+	o.refs = o.hits(refs)
 	return nil
 }
 
+// build drains both inputs, indexes the right rows by OID and partitions
+// the left rows on the pointer field, returning every distinct referenced
+// OID in sorted order.
+func (o *hashJoinOp) build() ([]storage.OID, error) {
+	lc, err := o.left.drain()
+	if err != nil {
+		return nil, err
+	}
+	rc, err := o.right.drain()
+	if err != nil {
+		return nil, err
+	}
+	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
+	if o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr); err != nil {
+		return nil, err
+	}
+	return sortedRefs(o.partitions), nil
+}
+
+// hits keeps the refs the right side holds: only those are dereferenced.
+func (o *hashJoinOp) hits(refs []storage.OID) []storage.OID {
+	out := make([]storage.OID, 0, len(refs))
+	for _, ref := range refs {
+		if _, hit := o.rightBy[ref]; hit {
+			out = append(out, ref)
+		}
+	}
+	return out
+}
+
 // partitionByRef is the build phase shared by the hash-partition and fusion
-// joins (serial and parallel): each left row, materialized, lands in the
-// partition of every object its pointer field references.
+// joins: each left row, materialized, lands in the partition of every
+// object its pointer field references.
 func partitionByRef(alg *algebra.Algebra, lc *algebra.Collection, leftVar, attr string) (map[storage.OID][]algebra.Row, error) {
 	partitions := make(map[storage.OID][]algebra.Row)
 	for _, lrow := range lc.Rows {
@@ -1076,6 +1130,16 @@ func partitionByRef(alg *algebra.Algebra, lc *algebra.Collection, leftVar, attr 
 		}
 	}
 	return partitions, nil
+}
+
+// sortedRefs lists a partition map's referenced OIDs in sorted order.
+func sortedRefs(partitions map[storage.OID][]algebra.Row) []storage.OID {
+	refs := make([]storage.OID, 0, len(partitions))
+	for ref := range partitions {
+		refs = append(refs, ref)
+	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
+	return refs
 }
 
 // nextChunk takes the next joinBatchRows refs off a sorted probe list.
@@ -1101,19 +1165,50 @@ func (o *hashJoinOp) produce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	o.pending = o.merge(o.pending, chunk, vals)
+	return true, nil
+}
+
+// merge appends the joined rows of a dereferenced ref chunk to dst.
+func (o *hashJoinOp) merge(dst []algebra.Row, chunk []storage.OID, vals []object.Value) []algebra.Row {
 	for i, ref := range chunk {
-		val := vals[i]
 		for _, lrow := range o.partitions[ref] {
 			for _, rrow := range o.rightBy[ref] {
 				merged := lrow.Merged(rrow)
 				rb := merged.Vars[o.rightVar]
-				rb.Val = val
+				rb.Val = vals[i]
 				merged.Vars[o.rightVar] = rb
-				o.pending = append(o.pending, merged)
+				dst = append(dst, merged)
 			}
 		}
 	}
-	return true, nil
+	return dst
+}
+
+// tasks runs the build (Open's) and splits the probe into page-aligned
+// chunks of all sorted refs, each then filtered to the right side's hits; a
+// worker dereferences a chunk in one page-ordered batch and merges it as
+// produce does, against the shared read-only partition and right-side maps.
+func (o *hashJoinOp) tasks() (taskSet, error) {
+	refs, err := o.build()
+	if err != nil {
+		return taskSet{}, err
+	}
+	chunks := chunkOIDs(refs, exchangeOIDChunk)
+	for i := range chunks {
+		chunks[i] = o.hits(chunks[i])
+	}
+	return taskSet{
+		n:       len(chunks),
+		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) },
+		run: func(_ *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+			vals, _, err := o.alg.Cat.GetObjects(chunks[t])
+			if err != nil {
+				return nil, 0, err
+			}
+			return o.merge(nil, chunks[t], vals), len(chunks[t]), nil
+		},
+	}, nil
 }
 
 // fusionRight recognizes the plan shapes a fusion join can absorb as its
@@ -1149,7 +1244,6 @@ type fusionJoinOp struct {
 	closure    bool
 	pred       expr.Expr   // nil → the right side was a bare bind
 	predFn     expr.PredFn // self-mode compiled; nil → interpret through re
-	compiled   bool
 	re         *algebra.RowEvaluator
 	resolve    object.Resolver
 
@@ -1190,11 +1284,7 @@ func (o *fusionJoinOp) Open() error {
 	if err != nil {
 		return err
 	}
-	o.refs = make([]storage.OID, 0, len(o.partitions))
-	for ref := range o.partitions {
-		o.refs = append(o.refs, ref)
-	}
-	sort.Slice(o.refs, func(i, j int) bool { return o.refs[i] < o.refs[j] })
+	o.refs = sortedRefs(o.partitions)
 	return nil
 }
 
@@ -1241,7 +1331,7 @@ func (o *fusionJoinOp) produce() (bool, error) {
 func (o *fusionJoinOp) Close() error { return o.left.op.Close() }
 
 func (o *fusionJoinOp) compiledPredicate() (active, full bool) {
-	return o.pred != nil, o.compiled
+	return o.pred != nil, o.predFn != nil
 }
 
 // accessPath tags each join strategy for the EXPLAIN ANALYZE access=

@@ -33,6 +33,7 @@ func buildClusterVehicleDB(t testing.TB, nshards, parallelism int) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exchangeSmallExtents(db)
 	if err := vehicledb.DefineSchema(db.Cat); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mood/internal/algebra"
 	"mood/internal/catalog"
@@ -88,14 +87,9 @@ type DB struct {
 	ocache *objcache.Cache // nil when the object cache is off
 
 	// tracer collects reference-traversal statistics for the clustering
-	// subsystem; nil when tracing is off. reorgMu serializes Reorganize
-	// (manual calls and the background loop); reorgStop/reorgWG manage the
-	// background reorganizer's lifetime.
-	tracer       *cluster.Tracer
-	clusterBatch int
-	reorgMu      sync.Mutex
-	reorgStop    chan struct{}
-	reorgWG      sync.WaitGroup
+	// subsystem; nil when tracing is off. reorgMu serializes Reorganize.
+	tracer  *cluster.Tracer
+	reorgMu sync.Mutex
 	// moveMu keeps record migration apart from extent scans while
 	// clustering is on: each migration batch and compaction pass holds it
 	// exclusively; each plan execution, UPDATE/DELETE target scan and
@@ -104,8 +98,8 @@ type DB struct {
 	// appended behind it.
 	moveMu sync.RWMutex
 
-	// txSeq mints lock-manager transaction ids in sharded mode, where no
-	// single WAL owns the id space.
+	// txSeq mints lock-manager transaction ids: no single WAL owns the id
+	// space, since a transaction begins on each shard's log it touches.
 	txSeq atomic.Uint64
 
 	// vs is the copy-on-write version overlay backing MVCC snapshot reads.
@@ -115,6 +109,9 @@ type DB struct {
 	// the plan cache is off.
 	plans *planCache
 
+	// parallelism is the intra-query degree of parallelism; parallelMinPages
+	// gates it on estimated page footprint (zero means the optimizer's
+	// default threshold; negative disables the threshold).
 	parallelism      int
 	parallelMinPages float64
 
@@ -145,10 +142,6 @@ type Options struct {
 	// selections, hash-join probes) in Exchange nodes executed by that many
 	// worker goroutines. Zero or one keeps every plan serial.
 	Parallelism int
-	// ParallelMinPages gates parallelization on estimated page footprint
-	// (zero means the optimizer's default threshold; negative disables the
-	// threshold).
-	ParallelMinPages float64
 	// ObjectCacheBytes is the decoded-object cache budget; zero disables the
 	// cache. Cached values skip both the page fetch and the decode on re-
 	// dereference and are invalidated by Update/Delete and WAL recovery.
@@ -168,15 +161,9 @@ type Options struct {
 	// N-th traversal observation (1 records all of them; zero disables
 	// clustering entirely). The tracer hooks the catalog's batched
 	// dereference and the stores' batch fetches; EXPLAIN ANALYZE then
-	// renders clustered= counters, and DB.Reorganize (or the background
-	// loop, see ClusterInterval) applies the learned placements.
+	// renders clustered= counters, and DB.Reorganize applies the learned
+	// placements.
 	ClusterSampleEvery int
-	// ClusterInterval runs the online reorganizer periodically in the
-	// background; zero leaves reorganization to explicit Reorganize calls.
-	ClusterInterval time.Duration
-	// ClusterBatch bounds the records moved per reorganization transaction
-	// (zero uses the default of 64).
-	ClusterBatch int
 	// GroupCommit batches concurrent commit forces on every shard's WAL:
 	// one leader per commit window pays the (simulated) fsync for the whole
 	// batch, so N sessions no longer serialize N forces behind one device.
@@ -248,8 +235,7 @@ func Open(opts Options) (*DB, error) {
 		bjis:   map[string]*joinindex.BinaryJoinIndex{},
 		vs:     newVersionStore(),
 
-		parallelism:      opts.Parallelism,
-		parallelMinPages: opts.ParallelMinPages,
+		parallelism: opts.Parallelism,
 	}
 	db.statsBase = stats.NewBase(cat, db.costDisk())
 	if opts.PlanCache {
@@ -286,16 +272,12 @@ func Open(opts Options) (*DB, error) {
 	if opts.ClusterSampleEvery > 0 {
 		db.tracer = cluster.New(opts.ClusterSampleEvery)
 		db.tracer.Enable(true)
-		db.clusterBatch = opts.ClusterBatch
 		// Traversal order flows in from the catalog's batched dereference;
 		// measured page co-residency from the stores' batch fetches.
 		cat.SetAccessObserver(db.tracer.ObserveAccess)
 		store.SetBatchObserver(db.tracer.ObserveBatch)
 		db.Exec.ClusterRefs = db.tracer.BatchRefs
 		db.Exec.ClusterPages = db.tracer.BatchPages
-		if opts.ClusterInterval > 0 {
-			db.startReorganizer(opts.ClusterInterval)
-		}
 	}
 	if opts.PrefetchWorkers > 0 {
 		for _, sh := range db.Shards {
@@ -318,16 +300,10 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close releases background resources (the readahead workers and the
-// background reorganizer). The database object itself is in-memory and
-// needs no further teardown; Close is safe to call on a database opened
-// without either feature.
+// Close releases background resources (the readahead workers). The
+// database object itself is in-memory and needs no further teardown; Close
+// is safe to call on a database opened without readahead.
 func (db *DB) Close() {
-	if db.reorgStop != nil {
-		close(db.reorgStop)
-		db.reorgWG.Wait()
-		db.reorgStop = nil
-	}
 	for _, sh := range db.Shards {
 		if sh.prefetcher != nil {
 			sh.prefetcher.Close()
@@ -643,16 +619,12 @@ func (db *DB) ExecuteStmt(st sql.Statement) (*Result, error) {
 		}
 		db.invalidatePlans()
 		return message("index %s dropped", n.Name), nil
-	case *sql.NewObject:
-		return db.execNewObject(n)
+	case *sql.NewObject, *sql.Update, *sql.Delete:
+		return db.autocommit(st)
 	case *sql.Select:
 		return db.execSelect(n)
 	case *sql.Explain:
 		return db.execExplain(n)
-	case *sql.Update:
-		return db.execUpdate(n)
-	case *sql.Delete:
-		return db.execDelete(n)
 	}
 	return nil, fmt.Errorf("kernel: unsupported statement %T", st)
 }
@@ -735,25 +707,6 @@ func (db *DB) evalNewObject(n *sql.NewObject) (object.Value, error) {
 		fields = append(fields, cast)
 	}
 	return object.NewTuple(names, fields), nil
-}
-
-func (db *DB) execNewObject(n *sql.NewObject) (*Result, error) {
-	tuple, err := db.evalNewObject(n)
-	if err != nil {
-		return nil, err
-	}
-	oid, err := db.Cat.CreateObject(n.Class, tuple)
-	if err != nil {
-		return nil, err
-	}
-	// Autocommit create: snapshots begun before this statement must not see
-	// the object.
-	ws := newWriteSet()
-	db.vs.capture(ws, oid, n.Class, object.Null, true)
-	db.vs.commit(ws)
-	res := message("created %s", oid)
-	res.OIDs = []storage.OID{oid}
-	return res, nil
 }
 
 // optimize plans a SELECT and records it in LastPlan/LastExplain.
@@ -876,69 +829,4 @@ func (db *DB) matchTargets(fi sql.FromItem, where expr.Expr) ([]storage.OID, err
 		err = db.Cat.ScanExtent(fi.Class, check)
 	}
 	return out, err
-}
-
-func (db *DB) execUpdate(n *sql.Update) (*Result, error) {
-	targets, err := db.matchTargets(n.From, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	ws := newWriteSet()
-	for _, oid := range targets {
-		old, class, err := db.Cat.GetObject(oid)
-		if err != nil {
-			return nil, err
-		}
-		// Retain the pre-image for snapshot readers before the store changes.
-		db.vs.capture(ws, oid, class, old, false)
-		// GetObject may return the cache's copy, whose backing storage is
-		// shared with every other reader; mutate a private clone.
-		v := old.Clone()
-		env := &expr.Env{
-			Vars:    map[string]object.Value{n.From.Var: v},
-			OIDs:    map[string]storage.OID{n.From.Var: oid},
-			Resolve: db.Cat.Resolver(),
-			Invoke:  db.Alg.Invoke,
-		}
-		for _, set := range n.Sets {
-			nv, err := set.Value.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			at, err := db.Cat.AttributeType(class, set.Attr)
-			if err != nil {
-				return nil, err
-			}
-			cast, err := expr.Cast(nv, at)
-			if err != nil {
-				return nil, err
-			}
-			v.SetField(set.Attr, cast)
-		}
-		if err := db.Cat.UpdateObject(oid, v); err != nil {
-			return nil, err
-		}
-	}
-	db.vs.commit(ws)
-	return message("%d object(s) updated", len(targets)), nil
-}
-
-func (db *DB) execDelete(n *sql.Delete) (*Result, error) {
-	targets, err := db.matchTargets(n.From, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	ws := newWriteSet()
-	for _, oid := range targets {
-		old, class, err := db.Cat.GetObject(oid)
-		if err != nil {
-			return nil, err
-		}
-		db.vs.capture(ws, oid, class, old, false)
-		if err := db.Cat.DeleteObject(oid); err != nil {
-			return nil, err
-		}
-	}
-	db.vs.commit(ws)
-	return message("%d object(s) deleted", len(targets)), nil
 }

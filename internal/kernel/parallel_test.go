@@ -12,14 +12,19 @@ import (
 	"mood/internal/vehicledb"
 )
 
-// parallelOptions opens every plan at degree-of-parallelism 4 with the
-// cost-model page threshold disabled, so even the small test extents
-// exchange.
-func parallelOptions() Options {
+// openParallel opens a kernel that plans every query at degree-of-
+// parallelism 4 with the cost-model page threshold disabled, so even the
+// small test extents exchange.
+func openParallel(t testing.TB) *DB {
+	t.Helper()
 	opts := DefaultOptions()
 	opts.Parallelism = 4
-	opts.ParallelMinPages = -1
-	return opts
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchangeSmallExtents(db)
+	return db
 }
 
 // TestParallelGoldenSuiteDifferential replays the full MOODSQL golden script
@@ -35,10 +40,7 @@ func TestParallelGoldenSuiteDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Open(parallelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := openParallel(t)
 
 	selects, exchanged := 0, 0
 	for _, stmt := range splitScript(string(script)) {
@@ -92,10 +94,7 @@ func TestParallelGoldenSuiteDifferential(t *testing.T) {
 // equals the DiskSim read-counter delta (workers drain inside the
 // instrumented Open), and the annotated tree carries per-worker rows/pages.
 func TestParallelExplainAnalyzePageTotals(t *testing.T) {
-	db, err := Open(parallelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openParallel(t)
 	if err := vehicledb.DefineSchema(db.Cat); err != nil {
 		t.Fatal(err)
 	}

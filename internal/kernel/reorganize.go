@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"time"
 
 	"mood/internal/cluster"
 	"mood/internal/storage"
@@ -47,8 +46,8 @@ func (db *DB) Tracer() *cluster.Tracer { return db.tracer }
 // applies it online. Safe to call concurrently with queries: each batch
 // migrates under the owning store's exclusive lock and between query
 // executions (moveMu), readers resolve moved records through forward stubs,
-// and the object cache is invalidated per moved object. Returns without error (and without work) when nothing has
-// been traced.
+// and the object cache is invalidated per moved object. Returns without
+// error (and without work) when nothing has been traced.
 func (db *DB) Reorganize() (ReorgStats, error) {
 	var rs ReorgStats
 	if db.tracer == nil {
@@ -83,10 +82,6 @@ func (db *DB) Reorganize() (ReorgStats, error) {
 		}
 	}
 
-	batchSize := db.clusterBatch
-	if batchSize <= 0 {
-		batchSize = defaultClusterBatch
-	}
 	touched := map[*storage.Extent]bool{}
 	for _, p := range plans {
 		e := exts[partKey{p.Shard, p.File}]
@@ -112,8 +107,8 @@ func (db *DB) Reorganize() (ReorgStats, error) {
 		}); err != nil {
 			return rs, fmt.Errorf("kernel: reorganize scan: %w", err)
 		}
-		for start := 0; start < len(order); start += batchSize {
-			end := min(start+batchSize, len(order))
+		for start := 0; start < len(order); start += defaultClusterBatch {
+			end := min(start+defaultClusterBatch, len(order))
 			// The first batch opens a fresh destination page; later batches
 			// keep packing its tail, so one placement lands dense.
 			if err := db.migrateBatch(sh, e, p.Shard, order[start:end], start > 0, &rs); err != nil {
@@ -195,26 +190,4 @@ func (db *DB) rollbackBatch(sh *Shard, tx wal.TxID, part int, e *storage.Extent,
 		return fmt.Errorf("%w (abort also failed: %v)", cause, aerr)
 	}
 	return cause
-}
-
-// startReorganizer launches the background loop applying Reorganize every
-// interval until Close.
-func (db *DB) startReorganizer(interval time.Duration) {
-	db.reorgStop = make(chan struct{})
-	db.reorgWG.Add(1)
-	go func() {
-		defer db.reorgWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-db.reorgStop:
-				return
-			case <-t.C:
-				// Background passes are best-effort; errors surface through
-				// the next manual Reorganize or the tier-1 crash tests.
-				_, _ = db.Reorganize()
-			}
-		}
-	}()
 }

@@ -26,10 +26,15 @@ func shardOptions(nshards, parallelism int) Options {
 	opts.BufferFrames = 512
 	opts.ShardCount = nshards
 	opts.Parallelism = parallelism
-	if parallelism > 1 {
-		opts.ParallelMinPages = -1
-	}
 	return opts
+}
+
+// exchangeSmallExtents disables the cost-model page threshold of a parallel
+// kernel, so even the small test extents exchange.
+func exchangeSmallExtents(db *DB) {
+	if db.parallelism > 1 {
+		db.parallelMinPages = -1
+	}
 }
 
 // buildShardVehicleDB opens a kernel at the given shard count and degree of
@@ -40,6 +45,7 @@ func buildShardVehicleDB(t testing.TB, nshards, parallelism int) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exchangeSmallExtents(db)
 	if err := vehicledb.DefineSchema(db.Cat); err != nil {
 		t.Fatal(err)
 	}

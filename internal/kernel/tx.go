@@ -19,9 +19,9 @@ import (
 // object mutation on abort. Page-level physical redo/undo (crash recovery)
 // is exercised separately in internal/wal.
 //
-// On a sharded database every shard has its own WAL. A transaction begins
-// on a shard's log lazily, at its first mutation routed there, and commits
-// by forcing each touched log in turn — a transaction whose writes stay on
+// Every shard has its own WAL; a single store is a one-shard database. A
+// transaction begins on a shard's log lazily, at its first mutation routed
+// there, and commits by forcing each touched log in turn — a transaction whose writes stay on
 // one shard (the common case under OID routing) costs exactly one log
 // force, which is why N shards sustain N times the commit throughput of one
 // serialized fsync stream. Cross-shard transactions force their logs in
@@ -51,12 +51,10 @@ type undoOp struct {
 // Tx is one kernel transaction.
 type Tx struct {
 	db     *DB
-	id     wal.TxID // single-store WAL id (0 in sharded mode)
 	lockID lock.TxID
 	// ids maps shard -> that shard's WAL transaction id, populated lazily
 	// at the first mutation routed to the shard; began records the shards
-	// in begin order so commit forces deterministically. Both are nil on a
-	// single-store database.
+	// in begin order so commit forces deterministically.
 	ids   map[int]wal.TxID
 	began []int
 	undo  []undoOp
@@ -64,15 +62,11 @@ type Tx struct {
 	done  bool
 }
 
-// Begin starts a transaction. On a single-store database the WAL id doubles
-// as the lock-manager id, exactly as before sharding; on a sharded database
-// no WAL owns the id space, so lock ids come from a kernel-wide counter and
-// per-shard WAL transactions begin lazily at the first touch.
+// Begin starts a transaction. A single store is a one-shard database here:
+// lock ids come from a kernel-wide counter, since no one WAL owns the id
+// space, and the transaction begins on a shard's WAL lazily, at its first
+// mutation routed there.
 func (db *DB) Begin() *Tx {
-	if len(db.Shards) == 1 {
-		id := db.Log.Begin()
-		return &Tx{db: db, id: id, lockID: lock.TxID(id), ws: newWriteSet()}
-	}
 	return &Tx{
 		db:     db,
 		lockID: lock.TxID(db.txSeq.Add(1)),
@@ -80,11 +74,6 @@ func (db *DB) Begin() *Tx {
 		ws:     newWriteSet(),
 	}
 }
-
-// ID returns the WAL transaction identifier (shared with the lock manager
-// on a single-store database; zero on a sharded one, where each touched
-// shard has its own WAL id).
-func (tx *Tx) ID() wal.TxID { return tx.id }
 
 func (tx *Tx) check() error {
 	if tx.done {
@@ -111,10 +100,6 @@ func (tx *Tx) lockObject(class string, oid storage.OID, mode lock.Mode) error {
 // of the shard that owns the mutated object, beginning the transaction
 // there on first touch.
 func (tx *Tx) logMutation(oid storage.OID) error {
-	if tx.ids == nil {
-		_, err := tx.db.Log.Update(tx.id, oid.Page(), 0, nil, nil)
-		return err
-	}
 	sh := oid.Shard()
 	log := tx.db.Shards[sh].Log
 	id, ok := tx.ids[sh]
@@ -154,6 +139,13 @@ func (tx *Tx) Create(class string, v object.Value) (storage.OID, error) {
 
 // Get reads an object under a shared lock.
 func (tx *Tx) Get(oid storage.OID) (object.Value, string, error) {
+	return tx.read(oid, lock.ModeS)
+}
+
+// read reads an object under a lock of the given mode. UPDATE reads its
+// targets under X straight away: two statements updating one object then
+// queue behind each other instead of deadlocking on an S-to-X upgrade.
+func (tx *Tx) read(oid storage.OID, mode lock.Mode) (object.Value, string, error) {
 	if err := tx.check(); err != nil {
 		return object.Null, "", err
 	}
@@ -161,7 +153,7 @@ func (tx *Tx) Get(oid storage.OID) (object.Value, string, error) {
 	if err != nil {
 		return object.Null, "", err
 	}
-	if err := tx.lockObject(class, oid, lock.ModeS); err != nil {
+	if err := tx.lockObject(class, oid, mode); err != nil {
 		return object.Null, "", err
 	}
 	return tx.db.Cat.GetObject(oid)
@@ -215,23 +207,16 @@ func (tx *Tx) Delete(oid storage.OID) error {
 
 // Commit makes the transaction's effects durable (the commit record of
 // every touched shard's WAL is forced, in begin order) and releases its
-// locks. A read-only transaction on a sharded database touches no log and
-// forces nothing.
+// locks. A read-only transaction touches no log and forces nothing.
 func (tx *Tx) Commit() error {
 	if err := tx.check(); err != nil {
 		return err
 	}
 	tx.done = true
 	defer tx.db.Locks.ReleaseAll(tx.lockID)
-	if tx.ids == nil {
-		if err := tx.db.Log.Commit(tx.id); err != nil {
+	for _, sh := range tx.began {
+		if err := tx.db.Shards[sh].Log.Commit(tx.ids[sh]); err != nil {
 			return err
-		}
-	} else {
-		for _, sh := range tx.began {
-			if err := tx.db.Shards[sh].Log.Commit(tx.ids[sh]); err != nil {
-				return err
-			}
 		}
 	}
 	// Only now may snapshot pre-images be stamped committed: an epoch
@@ -260,6 +245,37 @@ func (db *DB) ExecuteInTx(tx *Tx, statement string) (*Result, error) {
 		return db.execSelect(n)
 	case *sql.Explain:
 		return db.execExplain(n)
+	case *sql.NewObject, *sql.Update, *sql.Delete:
+		return db.execDML(tx, st)
+	}
+	return nil, fmt.Errorf("kernel: %T not allowed inside a transaction (DDL is autocommit-only)", st)
+}
+
+// autocommit runs one NEW/UPDATE/DELETE statement as a transaction of its
+// own, so it takes part in strict two-phase locking like any other writer:
+// it waits for a concurrent transaction's locks on the objects it writes,
+// so it neither computes from nor overwrites that transaction's
+// uncommitted values. (Target selection scans without locks, as it does
+// inside a transaction.) Any error, a deadlock included, aborts the whole
+// statement and is returned.
+func (db *DB) autocommit(st sql.Statement) (*Result, error) {
+	tx := db.Begin()
+	res, err := db.execDML(tx, st)
+	if err != nil {
+		if aerr := tx.Abort(); aerr != nil {
+			return nil, fmt.Errorf("%w (abort: %v)", err, aerr)
+		}
+		return nil, err
+	}
+	if err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// execDML interprets a NEW, UPDATE or DELETE statement under tx.
+func (db *DB) execDML(tx *Tx, st sql.Statement) (*Result, error) {
+	switch n := st.(type) {
 	case *sql.NewObject:
 		tuple, err := db.evalNewObject(n)
 		if err != nil {
@@ -278,10 +294,12 @@ func (db *DB) ExecuteInTx(tx *Tx, statement string) (*Result, error) {
 			return nil, err
 		}
 		for _, oid := range targets {
-			old, class, err := tx.Get(oid)
+			old, class, err := tx.read(oid, lock.ModeX)
 			if err != nil {
 				return nil, err
 			}
+			// GetObject may return the cache's copy, whose backing storage
+			// is shared with every other reader; mutate a private clone.
 			v := old.Clone()
 			env := &expr.Env{
 				Vars:    map[string]object.Value{n.From.Var: v},
@@ -321,7 +339,7 @@ func (db *DB) ExecuteInTx(tx *Tx, statement string) (*Result, error) {
 		}
 		return message("%d object(s) deleted", len(targets)), nil
 	}
-	return nil, fmt.Errorf("kernel: %T not allowed inside a transaction (DDL is autocommit-only)", st)
+	return nil, fmt.Errorf("kernel: %T is not a data manipulation statement", st)
 }
 
 // Abort rolls back every mutation (logical undo, newest first), logs the
@@ -355,9 +373,6 @@ func (tx *Tx) Abort() error {
 		}
 	}
 	tx.db.vs.abort(tx.ws, resurrected)
-	if tx.ids == nil {
-		return tx.db.Log.Abort(tx.id, nil)
-	}
 	for _, sh := range tx.began {
 		if err := tx.db.Shards[sh].Log.Abort(tx.ids[sh], nil); err != nil {
 			return err

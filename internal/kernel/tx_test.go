@@ -234,18 +234,139 @@ func TestTxDeadlockVictim(t *testing.T) {
 
 func TestTxWALRecords(t *testing.T) {
 	db := openAndDefine(t)
-	before := db.Log.Len()
+	before, forces := db.Log.Len(), db.Log.FlushCount()
 	tx := db.Begin()
-	if _, err := tx.Create("Employee", employee("logged", 1)); err != nil {
+	oid, err := tx.Create("Employee", employee("logged", 1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Log.Len() < before+3 { // begin + update marker + commit
-		t.Errorf("log grew by %d records, want >= 3", db.Log.Len()-before)
+	created := db.Log.Len() - before
+	if created < 3 { // begin + update marker + commit
+		t.Errorf("log grew by %d records, want >= 3", created)
+	}
+	if n := db.Log.FlushCount() - forces; n != 1 {
+		t.Errorf("a writing commit forced the log %d times, want 1", n)
 	}
 	if got := db.Log.ActiveTransactions(); len(got) != 0 {
 		t.Errorf("active transactions after commit: %v", got)
+	}
+
+	// A read-only transaction logs and forces nothing: a single store
+	// begins a transaction on its WAL at the first write, as each shard of
+	// a sharded store does.
+	before, forces = db.Log.Len(), db.Log.FlushCount()
+	ro := db.Begin()
+	if _, _, err := ro.Get(oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, f := db.Log.Len()-before, db.Log.FlushCount()-forces; n != 0 || f != 0 {
+		t.Errorf("a read-only commit logged %d records and forced %d times, want 0 and 0", n, f)
+	}
+
+	// Autocommit NEW is a one-statement transaction: the records of the
+	// transactional create above, and one force.
+	before, forces = db.Log.Len(), db.Log.FlushCount()
+	if _, err := db.Execute(`new Employee <2, "auto", 30>`); err != nil {
+		t.Fatal(err)
+	}
+	if n, f := db.Log.Len()-before, db.Log.FlushCount()-forces; n != created || f != 1 {
+		t.Errorf("autocommit NEW logged %d records and forced %d times, want %d and 1", n, f, created)
+	}
+}
+
+// TestAutocommitDMLHonorsLocks: an autocommit UPDATE is a one-statement
+// transaction under strict 2PL. While a transaction holds X on an object
+// it has written, the statement waits for the lock instead of reading the
+// uncommitted value; once the transaction aborts, it updates the restored
+// value, so the abort loses no write.
+func TestAutocommitDMLHonorsLocks(t *testing.T) {
+	db := openAndDefine(t)
+	setup := db.Begin()
+	oid, err := setup.Create("Employee", employee("shared", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	v, _, err := tx.Get(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = v.Clone()
+	v.SetField("age", object.NewInt(50))
+	if err := tx.Update(oid, v); err != nil {
+		t.Fatal(err)
+	}
+
+	_, waits0, _ := db.Locks.Stats()
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Execute("UPDATE Employee e SET age = e.age + 1")
+		done <- err
+	}()
+	// Wait until the statement blocks on a lock; finishing first means it
+	// ran past the transaction's X lock.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("autocommit UPDATE finished (err %v) while a transaction held X on its target", err)
+		default:
+		}
+		if _, waits, _ := db.Locks.Stats(); waits > waits0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("autocommit UPDATE neither finished nor waited for a lock")
+		}
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := db.Cat.GetObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if age, _ := got.Field("age"); age.Int != 31 {
+		t.Errorf("age = %d after the abort and the autocommit increment, want 31", age.Int)
+	}
+}
+
+// TestAutocommitDMLIsAtomic: a statement that fails part-way is aborted as
+// a whole, so the objects it updated before the failure keep their values.
+func TestAutocommitDMLIsAtomic(t *testing.T) {
+	db := openAndDefine(t)
+	for _, st := range []string{
+		`new Employee <1, "one", 30>`,
+		`new Employee <2, "two", 30>`,
+		`new Employee <3, "three", 30>`,
+	} {
+		if _, err := db.Execute(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Execute("UPDATE Employee e SET age = 60 / (e.ssno - 2)"); err == nil {
+		t.Fatal("UPDATE dividing by zero on one target succeeded")
+	}
+	if err := db.Cat.ScanExtent("Employee", func(_ storage.OID, v object.Value) bool {
+		if age, _ := v.Field("age"); age.Int != 30 {
+			t.Errorf("employee %v: age %d after the failed UPDATE, want 30", v, age.Int)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := countEmployees(t, db); n != 3 {
+		t.Errorf("%d employees after the failed UPDATE, want 3", n)
 	}
 }
