@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -24,60 +23,6 @@ import (
 	"mood/internal/experiments"
 )
 
-type artifact struct {
-	name string
-	desc string
-	run  func(io.Writer, *experiments.Env) error
-}
-
-func artifacts() []artifact {
-	return []artifact{
-		{"table1", "Select operator return types", experiments.Table1},
-		{"table2", "Join operator return-type matrix", experiments.Table2},
-		{"tables3to7", "DupElim/set-op/conversion return types", func(w io.Writer, _ *experiments.Env) error {
-			experiments.Tables3to7(w)
-			return nil
-		}},
-		{"table8", "cost model parameters (measured)", func(w io.Writer, e *experiments.Env) error {
-			experiments.Table8(w, e)
-			return nil
-		}},
-		{"table9", "B+-tree parameters", experiments.Table9},
-		{"table10", "physical disk parameters", func(w io.Writer, e *experiments.Env) error {
-			experiments.Table10(w, e)
-			return nil
-		}},
-		{"tables11and12", "ImmSelInfo / PathSelInfo dictionaries", experiments.Tables11and12},
-		{"tables13to15", "example database statistics", func(w io.Writer, e *experiments.Env) error {
-			experiments.Tables13to15(w, e)
-			return nil
-		}},
-		{"table16", "Example 8.1 PathSelInfo (paper anchors)", experiments.Table16},
-		{"table17", "Example 8.2 initial estimations", experiments.Table17},
-		{"example81", "Example 8.1 access plan", experiments.Example81Plan},
-		{"example82", "Example 8.2 access plan", experiments.Example82Plan},
-		{"figure71", "clause execution order", experiments.Figure71},
-		{"figure72", "WHERE-clause operator order", experiments.Figure72},
-		{"joinsweep", "join-method crossover, measured vs predicted", experiments.JoinMethodSweep},
-		{"pathorder", "Algorithm 8.1 ordering benefit", experiments.PathOrderingSweep},
-		{"selectivity", "estimated vs actual path selectivity", experiments.SelectivityAccuracy},
-		{"indexrule", "8.1 index-selection rule sweep", experiments.IndexSelectionSweep},
-		{"parallel", "morsel-driven exchange scaling, workers=1/2/4/8", experiments.ParallelScaling},
-		{"cache", "object-cache sweep, cache=0/64KiB/1MiB", experiments.CacheSweep},
-		{"vector", "vectorized execution with compiled predicates, serial vs exchange", experiments.VectorSweep},
-		{"shard", "sharded-store scaling, shards=1/2/4", experiments.ShardScaling},
-		{"joinpaths", "join access paths, forward vs join-index vs hash vs fusion", experiments.JoinAccessSweep},
-		{"cluster", "reference clustering, scattered vs reorganized cold traversal", experiments.ClusterSweep},
-		{"commit", "group-commit throughput, sessions=1/8/32 + snapshot/plan-cache phases", experiments.CommitThroughput},
-	}
-}
-
-// writeShardJSON runs the sharded-store sweep of experiments.MeasureShard
-// and writes the result as JSON. Rows, page reads and record densities are
-// deterministic — the sweep itself fails if the read totals differ across
-// shard counts; the wall-clock columns (wall_ms, rows_per_wall_sec,
-// commits_per_sec, the speedups) are real measurements and vary run to run.
-// The sweep builds its own fixed-size-record extents, so -scale is ignored.
 func writeShardJSON(path string) error {
 	res, err := experiments.MeasureShard(0, 0)
 	if err != nil {
@@ -256,10 +201,10 @@ func main() {
 		}()
 	}
 
-	arts := artifacts()
+	arts := experiments.Artifacts()
 	if *list {
 		for _, a := range arts {
-			fmt.Printf("%-16s %s\n", a.name, a.desc)
+			fmt.Printf("%-16s %s\n", a.Name, a.Desc)
 		}
 		return
 	}
@@ -339,11 +284,11 @@ func main() {
 
 	ran := 0
 	for _, a := range arts {
-		if *only != "" && !strings.EqualFold(a.name, *only) {
+		if *only != "" && !strings.EqualFold(a.Name, *only) {
 			continue
 		}
-		if err := a.run(os.Stdout, env); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", a.name, err)
+		if err := a.Run(os.Stdout, env); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
 			os.Exit(1)
 		}
 		ran++

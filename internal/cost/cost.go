@@ -628,6 +628,45 @@ func (s *Stats) BJICost(in JoinInput, k float64) (float64, error) {
 	return s.INDCOST(*in.BJIdx, k), nil
 }
 
+// BJIJoinCost is what Algorithm 8.2 charges a join-index join: the probes
+// of k keys, BJICost, plus the source fetch, BJISourceCost.
+func (s *Stats) BJIJoinCost(in JoinInput, k float64) (float64, error) {
+	c, err := s.BJICost(in, k)
+	if err != nil {
+		return 0, err
+	}
+	fetch, err := s.BJISourceCost(in)
+	return c + fetch, err
+}
+
+// BJISourceCost prices the source objects a join-index join fetches when C
+// was not accessed before: the join then probes backward from the k_d right
+// objects and reads only their sources instead of C's extent,
+//
+//	RNDCOST(nbpg(C, k_src)),  k_src = min(k_c, k_c * fan * k_d / |D|)
+//
+// (the join-cardinality estimate), exactly as the forward formula charges
+// RNDCOST(nbpg_c) for C's objects. Zero when C was accessed: the sources
+// are then already in memory.
+func (s *Stats) BJISourceCost(in JoinInput) (float64, error) {
+	if in.CAccessed {
+		return 0, nil
+	}
+	cs, err := s.Class(in.Class)
+	if err != nil {
+		return 0, err
+	}
+	ls, err := s.Link(in.Class, in.Attribute)
+	if err != nil {
+		return 0, err
+	}
+	src := in.Kc
+	if ls.TargetCard > 0 {
+		src = math.Min(src, in.Kc*ls.Fan*in.Kd/ls.TargetCard)
+	}
+	return s.Disk.RNDCOST(s.ShardNbPg(cs, src)), nil
+}
+
 // HashPartitionCost is Section 6.4's pointer-based hybrid hash join:
 //
 //	hhc = 3 * k_c/|C| * SEQCOST(nbpages(C)) + RNDCOST(nbpg)
@@ -708,7 +747,7 @@ func (s *Stats) BestJoin(in JoinInput) (JoinMethod, float64, error) {
 		if in.Kd < k {
 			k = in.Kd
 		}
-		if c, err := s.BJICost(in, k); err == nil && c < bestCost {
+		if c, err := s.BJIJoinCost(in, k); err == nil && c < bestCost {
 			best, bestCost = BinaryJoinIndex, c
 		}
 	}

@@ -630,3 +630,47 @@ func TestFusionNeverWinsWithoutSharing(t *testing.T) {
 		t.Fatalf("best = %v, want FORWARD_TRAVERSAL", m)
 	}
 }
+
+// TestBJISourceCost: a join-index join whose source class was not accessed
+// fetches the sources of the k_d right objects — the join-cardinality
+// estimate, at most k_c — and Algorithm 8.2 charges their pages on top of
+// the probes. An accessed source class costs the probes only.
+func TestBJISourceCost(t *testing.T) {
+	s := paperStats()
+	idx := BTreeStats{Order: 100, Levels: 3, Leaves: 200}
+	// Vehicle.manufacturer: 20000 vehicles over 200000 companies.
+	in := JoinInput{Class: "Vehicle", Attribute: "manufacturer", Kc: 20000, Kd: 10, BJIdx: &idx}
+	src, err := s.BJISourceCost(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, _ := s.Class("Vehicle")
+	if want := s.Disk.RNDCOST(s.ShardNbPg(cs, 20000*1*10/200000.0)); math.Abs(src-want) > 1e-9 {
+		t.Errorf("BJISourceCost = %v, want %v", src, want)
+	}
+	total, err := s.BJIJoinCost(in, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := s.INDCOST(idx, 10) + src; math.Abs(total-want) > 1e-9 {
+		t.Errorf("BJIJoinCost = %v, want %v", total, want)
+	}
+	// Sources never exceed k_c.
+	wide := in
+	wide.Kc, wide.Kd = 5, 200000
+	if got, _ := s.BJISourceCost(wide); math.Abs(got-s.Disk.RNDCOST(s.ShardNbPg(cs, 5))) > 1e-9 {
+		t.Errorf("BJISourceCost with k_d = |D| = %v, want the pages of k_c = 5", got)
+	}
+	accessed := in
+	accessed.CAccessed = true
+	if got, _ := s.BJIJoinCost(accessed, 10); got != s.INDCOST(idx, 10) {
+		t.Errorf("BJIJoinCost over an accessed C = %v, want the probes only %v", got, s.INDCOST(idx, 10))
+	}
+	m, c, err := s.BestJoin(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != BinaryJoinIndex || math.Abs(c-total) > 1e-9 {
+		t.Errorf("BestJoin = %v at %v, want the join index at %v", m, c, total)
+	}
+}

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"mood/internal/catalog"
 	"mood/internal/expr"
+	"mood/internal/joinindex"
 	"mood/internal/objcache"
 	"mood/internal/object"
 	"mood/internal/optimizer"
@@ -44,6 +47,30 @@ func TestRandomQueriesDifferential(t *testing.T) {
 	}
 	f.ex.Alg.Invoke = invoke
 
+	// Index the final classes of the name and cylinders paths and register
+	// a join index on Vehicle.manufacturer, so selective path predicates
+	// plan as an index selection probed backward through the join index.
+	for _, ix := range []struct{ name, class, attr string }{
+		{"cname", "Company", "name"},
+		{"ecyl", "VehicleEngine", "cylinders"},
+	} {
+		if _, err := f.db.Cat.CreateIndex(ix.name, ix.class, ix.attr, catalog.BTreeIndex, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm, err := joinindex.BuildBJI(f.db.Cat, "Vehicle", "manufacturer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.opt.RegisterBJI("Vehicle", "manufacturer", "vm", vm.CostStats())
+	f.ex.BJIs["vm"] = vm
+	company := func() object.Value {
+		if rng.Intn(8) == 0 {
+			return object.NewString("BMW")
+		}
+		return object.NewString(fmt.Sprintf("company-%06d", rng.Intn(420)))
+	}
+
 	// Predicate building blocks over Vehicle v.
 	leaves := []func() expr.Expr{
 		func() expr.Expr { // atomic on weight
@@ -74,6 +101,23 @@ func TestRandomQueriesDifferential(t *testing.T) {
 				L: &expr.Call{Base: &expr.Var{Name: "v"}, Method: "lbweight"},
 				R: &expr.Const{Val: object.NewInt(int32(1800 + rng.Intn(4800)))}}
 		},
+		func() expr.Expr { // indexed final class: the manufacturer's name
+			ops := []expr.CmpOp{expr.OpEq, expr.OpEq, expr.OpLt, expr.OpGe}
+			return &expr.Cmp{Op: ops[rng.Intn(len(ops))],
+				L: expr.Path("v", "manufacturer", "name"), R: &expr.Const{Val: company()}}
+		},
+		func() expr.Expr { // indexed final class: a name or cylinders BETWEEN
+			if rng.Intn(2) == 0 {
+				lo := rng.Intn(400)
+				return &expr.Between{E: expr.Path("v", "manufacturer", "name"),
+					Lo: &expr.Const{Val: object.NewString(fmt.Sprintf("company-%06d", lo))},
+					Hi: &expr.Const{Val: object.NewString(fmt.Sprintf("company-%06d", lo+rng.Intn(3)))}}
+			}
+			lo := int32(2 + 2*rng.Intn(16))
+			return &expr.Between{E: expr.Path("v", "drivetrain", "engine", "cylinders"),
+				Lo: &expr.Const{Val: object.NewInt(lo)},
+				Hi: &expr.Const{Val: object.NewInt(lo + int32(2*rng.Intn(3)))}}
+		},
 		func() expr.Expr { // BETWEEN on weight
 			lo := int32(800 + rng.Intn(1500))
 			return &expr.Between{E: expr.Path("v", "weight"),
@@ -97,6 +141,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 	}
 
 	resolver := f.db.Cat.Resolver()
+	backward := 0 // trials planned as an index selection probed through the join index
 	for trial := 0; trial < 60; trial++ {
 		if trial == 30 {
 			// Second half: identical trials over the decoded-object cache.
@@ -114,6 +159,9 @@ func TestRandomQueriesDifferential(t *testing.T) {
 		plan, _, err := f.opt.Optimize(q)
 		if err != nil {
 			t.Fatalf("trial %d: optimize %s: %v", trial, pred, err)
+		}
+		if r := optimizer.Render(plan); strings.Contains(r, "INDSEL(Company") && strings.Contains(r, "BINARY_JOIN_INDEX") {
+			backward++
 		}
 		coll, err := f.ex.Execute(plan)
 		if err != nil {
@@ -172,5 +220,8 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			t.Fatalf("trial %d: differential mismatch for\n  %s\nplan rows %d, oracle rows %d",
 				trial, pred, len(got), len(want))
 		}
+	}
+	if backward == 0 {
+		t.Error("no trial planned an index-selected path segment through the join index")
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -156,6 +157,28 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		c.op = sel
 
 	case *optimizer.JoinPlan:
+		if lb, ok := n.Left.(*optimizer.BindPlan); ok && n.Method == cost.BinaryJoinIndex {
+			// The join-index join absorbs a bare-bind left side, the mirror
+			// of fusion's right: it fetches only the backward sources of
+			// the right rows, and the left extent is never scanned.
+			right, err := child(n.Right)
+			if err != nil {
+				return nil, err
+			}
+			c.hdr = optimizer.Header{
+				Kind:  algebra.JoinKind(algebra.ExtentKind, right.hdr.Kind),
+				Name:  n.RightVar,
+				Class: right.hdr.Class,
+			}
+			c.op = &bjiJoinOp{
+				joinBase: joinBase{
+					alg: e.Alg, right: right,
+					leftVar: n.LeftVar, attr: n.Attribute, rightVar: n.RightVar,
+				},
+				index: e.BJIs[n.Index], leftBind: lb,
+			}
+			break
+		}
 		left, err := child(n.Left)
 		if err != nil {
 			return nil, err
@@ -180,11 +203,9 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 					alg: e.Alg, left: left,
 					leftVar: n.LeftVar, attr: n.Attribute, rightVar: n.RightVar,
 				},
-				rightClass: bp.Class,
-				minus:      bp.Minus,
-				closure:    bp.Every || len(bp.Minus) > 0,
-				pred:       pred,
-				re:         e.Alg.NewRowEvaluator(),
+				bind: bp,
+				pred: pred,
+				re:   e.Alg.NewRowEvaluator(),
 			}
 			if pred != nil {
 				op.predFn, _ = e.queryFuncs().Predicate(bp.Var, pred)
@@ -821,6 +842,7 @@ type joinBase struct {
 	pending []algebra.Row
 	pi      int
 	sub     RowBatch // the sub-batch a strategy pulls its streaming input into
+	eof     bool     // the input pull reads is exhausted
 }
 
 // fill is every join's NextBatch: it moves pending rows into b and calls
@@ -847,12 +869,56 @@ func (j *joinBase) fill(b *RowBatch, produce func() (bool, error)) (int, error) 
 	}
 }
 
+// Close closes the compiled children; an absorbed side (fusion's right,
+// the join index's left) is nil.
 func (j *joinBase) Close() error {
-	err := j.left.op.Close()
-	if err2 := j.right.op.Close(); err == nil {
-		err = err2
+	var err error
+	for _, k := range []*compiled{j.left, j.right} {
+		if k == nil {
+			continue
+		}
+		if err2 := k.op.Close(); err == nil {
+			err = err2
+		}
 	}
 	return err
+}
+
+// pull takes the next joinBatchRows rows off in, asking for exactly the
+// rows still missing so it never reads past the step, and sets eof once in
+// is exhausted.
+func (j *joinBase) pull(in *compiled) ([]algebra.Row, error) {
+	batch := make([]algebra.Row, joinBatchRows)
+	n := 0
+	for n < joinBatchRows {
+		j.sub.Rows = batch[n:]
+		k, err := in.op.NextBatch(&j.sub)
+		if err != nil {
+			return nil, err
+		}
+		if k == 0 {
+			j.eof = true
+			break
+		}
+		n += k
+	}
+	return batch[:n], nil
+}
+
+// distinctRefs lists the distinct OIDs of lists in first-seen order, with
+// each OID's position in that list.
+func distinctRefs(lists [][]storage.OID) ([]storage.OID, map[storage.OID]int) {
+	var refs []storage.OID
+	at := map[storage.OID]int{}
+	for _, rs := range lists {
+		for _, ref := range rs {
+			if _, ok := at[ref]; !ok {
+				at[ref] = len(refs)
+				refs = append(refs, ref)
+			}
+		}
+	}
+	return refs, at
 }
 
 // joinBatchRows is how many driving-side rows (or probe OIDs) the batched
@@ -871,7 +937,6 @@ const joinBatchRows = 64
 type forwardJoinOp struct {
 	joinBase
 	rightBy map[storage.OID][]algebra.Row
-	eof     bool
 }
 
 func (o *forwardJoinOp) Open() error {
@@ -892,22 +957,11 @@ func (o *forwardJoinOp) produce() (bool, error) {
 	if o.eof {
 		return false, nil
 	}
-	batch := make([]algebra.Row, joinBatchRows)
-	n := 0
-	for n < joinBatchRows {
-		o.sub.Rows = batch[n:]
-		k, err := o.left.op.NextBatch(&o.sub)
-		if err != nil {
-			return false, err
-		}
-		if k == 0 {
-			o.eof = true
-			break
-		}
-		n += k
+	batch, err := o.pull(o.left)
+	if err != nil {
+		return false, err
 	}
-	batch = batch[:n]
-	batchRefs := make([][]storage.OID, n)
+	batchRefs := make([][]storage.OID, len(batch))
 	for i := range batch {
 		lb := batch[i].Vars[o.leftVar]
 		if err := o.alg.MaterializeBound(&lb); err != nil {
@@ -919,16 +973,7 @@ func (o *forwardJoinOp) produce() (bool, error) {
 	// Chase the pointers: every distinct reference of the step is
 	// dereferenced even if the right side later rejects the object, as in
 	// real forward traversal — but each only once per step.
-	var refs []storage.OID
-	at := map[storage.OID]int{}
-	for _, rs := range batchRefs {
-		for _, ref := range rs {
-			if _, ok := at[ref]; !ok {
-				at[ref] = len(refs)
-				refs = append(refs, ref)
-			}
-		}
-	}
+	refs, at := distinctRefs(batchRefs)
 	if len(refs) == 0 {
 		return true, nil
 	}
@@ -1021,16 +1066,33 @@ func (o *backwardJoinOp) Close() error {
 // is pulled one row per probe, so its extent reads interleave with the
 // index reads exactly as the per-object probe of the paper's join-index
 // access does.
+//
+// When the left side is a bare class bind the operator absorbs it: the
+// left extent is never scanned. Each step probes joinBatchRows right rows
+// and fetches their distinct sources in one page-ordered GetObjects call,
+// keeping the sources the bind would yield (the index covers the indexed
+// class's IS-A closure, a bare bind only its direct extent). Rows and their
+// order are those of the draining form: right order, then index order.
 type bjiJoinOp struct {
 	joinBase
 	index  *joinindex.BinaryJoinIndex
 	leftBy map[storage.OID][]algebra.Row
+
+	leftBind *optimizer.BindPlan // the absorbed left side, or nil
+	allowed  map[string]bool     // class names leftBind yields
 }
 
 func (o *bjiJoinOp) Open() error {
 	if o.index == nil {
 		return fmt.Errorf("%w: binary join index for %s.%s",
-			algebra.ErrNoIndex, o.left.hdr.Class, o.attr)
+			algebra.ErrNoIndex, o.leftClass(), o.attr)
+	}
+	if o.leftBind != nil {
+		var err error
+		if o.allowed, err = bindClasses(o.alg.Cat, o.leftBind); err != nil {
+			return err
+		}
+		return o.right.op.Open()
 	}
 	lc, err := o.left.drain()
 	if err != nil {
@@ -1040,7 +1102,19 @@ func (o *bjiJoinOp) Open() error {
 	return o.right.op.Open()
 }
 
-func (o *bjiJoinOp) NextBatch(b *RowBatch) (int, error) { return o.fill(b, o.produce) }
+func (o *bjiJoinOp) leftClass() string {
+	if o.leftBind != nil {
+		return o.leftBind.Class
+	}
+	return o.left.hdr.Class
+}
+
+func (o *bjiJoinOp) NextBatch(b *RowBatch) (int, error) {
+	if o.leftBind != nil {
+		return o.fill(b, o.produceAbsorbed)
+	}
+	return o.fill(b, o.produce)
+}
 
 // produce resolves the next right row against the index into pending.
 func (o *bjiJoinOp) produce() (bool, error) {
@@ -1059,6 +1133,93 @@ func (o *bjiJoinOp) produce() (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// produceAbsorbed resolves the next joinBatchRows right rows into pending,
+// fetching their sources instead of reading the left extent.
+func (o *bjiJoinOp) produceAbsorbed() (bool, error) {
+	if o.eof {
+		return false, nil
+	}
+	batch, err := o.pull(o.right)
+	if err != nil || len(batch) == 0 {
+		return false, err
+	}
+	sources := make([][]storage.OID, len(batch))
+	for i := range batch {
+		if sources[i], err = o.index.Backward(batch[i].Vars[o.rightVar].OID); err != nil {
+			return false, err
+		}
+	}
+	refs, at := distinctRefs(sources)
+	if len(refs) == 0 {
+		return true, nil
+	}
+	vals, names, err := o.fetchSources(refs)
+	if err != nil {
+		return false, err
+	}
+	for i, rrow := range batch {
+		for _, src := range sources[i] {
+			j := at[src]
+			if !o.allowed[names[j]] {
+				continue
+			}
+			lrow := algebra.Row{Vars: map[string]algebra.Bound{o.leftVar: {OID: src, Val: vals[j]}}}
+			o.pending = append(o.pending, lrow.Merged(rrow))
+		}
+	}
+	return true, nil
+}
+
+// fetchSources dereferences probed sources in one page-ordered batch. A
+// source deleted after the index was read (maintenance follows the store
+// change) is dropped with an empty class name, as the extent scan it
+// replaces would not have yielded it.
+func (o *bjiJoinOp) fetchSources(refs []storage.OID) ([]object.Value, []string, error) {
+	vals, names, err := o.alg.Cat.GetObjects(refs)
+	if !errors.Is(err, storage.ErrRecordGone) {
+		return vals, names, err
+	}
+	vals, names = make([]object.Value, len(refs)), make([]string, len(refs))
+	for i, ref := range refs {
+		v, name, err := o.alg.Cat.GetObject(ref)
+		if errors.Is(err, storage.ErrRecordGone) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		vals[i], names[i] = v, name
+	}
+	return vals, names, nil
+}
+
+// bindClasses is the set of class names a bind yields objects of: the class
+// alone for a bare bind (its direct extent), its IS-A closure under EVERY or
+// an exclusion, less the closures of the excluded subclasses.
+func bindClasses(cat *catalog.Catalog, bp *optimizer.BindPlan) (map[string]bool, error) {
+	if !bp.Every && len(bp.Minus) == 0 {
+		return map[string]bool{bp.Class: true}, nil
+	}
+	closure, err := cat.Closure(bp.Class)
+	if err != nil {
+		return nil, err
+	}
+	allowed := make(map[string]bool, len(closure))
+	for _, name := range closure {
+		allowed[name] = true
+	}
+	for _, m := range bp.Minus {
+		sub, err := cat.Closure(m)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range sub {
+			delete(allowed, s)
+		}
+	}
+	return allowed, nil
 }
 
 // hashJoinOp partitions the left rows on the pointer field at Open (the
@@ -1239,13 +1400,11 @@ func fusionRight(p optimizer.Plan) (*optimizer.BindPlan, expr.Expr, bool) {
 type fusionJoinOp struct {
 	joinBase // right is nil: the bind-shaped right side is absorbed
 
-	rightClass string
-	minus      []string
-	closure    bool
-	pred       expr.Expr   // nil → the right side was a bare bind
-	predFn     expr.PredFn // self-mode compiled; nil → interpret through re
-	re         *algebra.RowEvaluator
-	resolve    object.Resolver
+	bind    *optimizer.BindPlan
+	pred    expr.Expr   // nil → the right side was a bare bind
+	predFn  expr.PredFn // self-mode compiled; nil → interpret through re
+	re      *algebra.RowEvaluator
+	resolve object.Resolver
 
 	allowed    map[string]bool // class names the right bind admits
 	partitions map[storage.OID][]algebra.Row
@@ -1255,27 +1414,10 @@ type fusionJoinOp struct {
 
 func (o *fusionJoinOp) Open() error {
 	o.resolve = o.alg.Cat.Resolver()
-	allowed := map[string]bool{o.rightClass: true}
-	if o.closure {
-		closure, err := o.alg.Cat.Closure(o.rightClass)
-		if err != nil {
-			return err
-		}
-		allowed = make(map[string]bool, len(closure))
-		for _, name := range closure {
-			allowed[name] = true
-		}
-		for _, m := range o.minus {
-			sub, err := o.alg.Cat.Closure(m)
-			if err != nil {
-				return err
-			}
-			for _, s := range sub {
-				delete(allowed, s)
-			}
-		}
+	var err error
+	if o.allowed, err = bindClasses(o.alg.Cat, o.bind); err != nil {
+		return err
 	}
-	o.allowed = allowed
 	lc, err := o.left.drain()
 	if err != nil {
 		return err
@@ -1325,10 +1467,6 @@ func (o *fusionJoinOp) produce() (bool, error) {
 	}
 	return true, nil
 }
-
-// Close closes only the left child; the right side was absorbed, never
-// compiled.
-func (o *fusionJoinOp) Close() error { return o.left.op.Close() }
 
 func (o *fusionJoinOp) compiledPredicate() (active, full bool) {
 	return o.pred != nil, o.predFn != nil

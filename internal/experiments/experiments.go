@@ -145,13 +145,17 @@ func dashes(n int) string {
 	return string(b)
 }
 
-// ensureIndex creates a B+-tree index if absent (idempotent helper).
-func ensureIndex(cat *catalog.Catalog, name, class, attr string) error {
-	for _, ix := range cat.Indexes() {
-		if ix.Name == name {
-			return nil
-		}
+// withIndex runs fn with a B+-tree index on class.attr and drops the index
+// afterwards, so an artifact's index never reaches the plans of the
+// artifacts run after it on the same Env: each sees the database it sees
+// when run alone.
+func withIndex(cat *catalog.Catalog, name, class, attr string, fn func() error) error {
+	if _, err := cat.CreateIndex(name, class, attr, catalog.BTreeIndex, false); err != nil {
+		return err
 	}
-	_, err := cat.CreateIndex(name, class, attr, catalog.BTreeIndex, false)
+	err := fn()
+	if derr := cat.DropIndex(name); err == nil {
+		err = derr
+	}
 	return err
 }

@@ -283,9 +283,12 @@ func SelectivityAccuracy(w io.Writer, env *Env) error {
 // varying selectivity, the measured cost of the index path vs the scan
 // path, and which one the rule picks.
 func IndexSelectionSweep(w io.Writer, env *Env) error {
-	if err := ensureIndex(env.DB.Cat, "sweep_weight", "Vehicle", "weight"); err != nil {
-		return err
-	}
+	return withIndex(env.DB.Cat, "sweep_weight", "Vehicle", "weight", func() error {
+		return indexSelectionSweep(w, env)
+	})
+}
+
+func indexSelectionSweep(w io.Writer, env *Env) error {
 	section(w, "Index-selection rule (8.1): scan vs index across predicate widths")
 	fmt.Fprintf(w, "%-34s %10s %12s %12s %10s\n", "predicate", "f_s", "scan ms", "index ms", "rule picks")
 

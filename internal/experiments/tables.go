@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mood/internal/algebra"
+	"mood/internal/cost"
 	"mood/internal/expr"
 	"mood/internal/object"
 	"mood/internal/stats"
@@ -185,13 +186,16 @@ func Table8(w io.Writer, env *Env) {
 }
 
 // Table9 builds a B+-tree index on VehicleEngine.cylinders and prints its
-// Table 9 parameters.
+// Table 9 parameters. The index is dropped once read: the paper's examples
+// plan without one.
 func Table9(w io.Writer, env *Env) error {
-	if err := ensureIndex(env.DB.Cat, "t9_cyl", "VehicleEngine", "cylinders"); err != nil {
+	var bs cost.BTreeStats
+	if err := withIndex(env.DB.Cat, "t9_cyl", "VehicleEngine", "cylinders", func() error {
+		bs = stats.IndexStats(env.DB.Cat)["VehicleEngine.cylinders"]
+		return nil
+	}); err != nil {
 		return err
 	}
-	m := stats.IndexStats(env.DB.Cat)
-	bs := m["VehicleEngine.cylinders"]
 	section(w, "Table 9. Parameters for a B+-tree (index on VehicleEngine.cylinders)")
 	fmt.Fprintf(w, "v(I)       order           %d\n", bs.Order)
 	fmt.Fprintf(w, "level(I)   number of levels %d\n", bs.Levels)

@@ -17,11 +17,12 @@ import (
 	"mood/internal/vehicledb"
 )
 
-// The join-access-path wall: every query of the sharded differential suite
-// is forced down each of the four physical join strategies — forward
-// traversal, binary join index, hash partition, fusion — at shard counts
-// 1/2/4, serial and parallel, and must return exactly the rows the unforced
-// single store returns. Plus the shard-routing, EXPLAIN-invariant, and
+// The join-access-path wall: every query of the sharded differential suite,
+// and the indexed path predicates of pathindex_test.go, is forced down each
+// of the four physical join strategies — forward traversal, binary join
+// index, hash partition, fusion — at shard counts 1/2/4, serial and
+// parallel, with the path predicates' final classes indexed, and must
+// return exactly the rows the unforced, unindexed single store returns. Plus the shard-routing, EXPLAIN-invariant, and
 // concurrent-maintenance satellites.
 
 // forcedJoinMethods are the strategies the wall drives every query down.
@@ -64,6 +65,7 @@ func forceJoin(db *DB, m cost.JoinMethod) {
 // serial and parallel.
 func TestJoinMethodDifferentialWall(t *testing.T) {
 	queries := append(append([]shardQuery{}, goldenShardQueries...), randomShardQueries()...)
+	queries = append(queries, indexedPathQueries...)
 
 	base := buildShardVehicleDB(t, 0, 0)
 	want := make([]string, len(queries))
@@ -84,6 +86,7 @@ func TestJoinMethodDifferentialWall(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/par=%d", nshards, par), func(t *testing.T) {
 				db := buildShardVehicleDB(t, nshards, par)
 				buildJoinIndexes(t, db)
+				buildPathIndexes(t, db)
 				for _, m := range forcedJoinMethods {
 					forceJoin(db, m)
 					if _, err := db.Execute(probe); err != nil {

@@ -801,23 +801,15 @@ func (db *DB) execExplain(n *sql.Explain) (*Result, error) {
 }
 
 // matchTargets evaluates a FROM item + WHERE against the store, returning
-// matching OIDs (shared by UPDATE and DELETE).
+// matching OIDs (shared by UPDATE and DELETE). The scan takes no locks: the
+// caller re-checks each target with stillMatches on the value it reads under
+// its X lock.
 func (db *DB) matchTargets(fi sql.FromItem, where expr.Expr) ([]storage.OID, error) {
 	var out []storage.OID
 	check := func(oid storage.OID, v object.Value) bool {
-		if where != nil {
-			env := &expr.Env{
-				Vars:    map[string]object.Value{fi.Var: v},
-				OIDs:    map[string]storage.OID{fi.Var: oid},
-				Resolve: db.Cat.Resolver(),
-				Invoke:  db.Alg.Invoke,
-			}
-			ok, err := expr.EvalBool(where, env)
-			if err != nil || !ok {
-				return true
-			}
+		if db.matches(fi, where, oid, v) {
+			out = append(out, oid)
 		}
-		out = append(out, oid)
 		return true
 	}
 	db.holdMoves()
@@ -829,4 +821,20 @@ func (db *DB) matchTargets(fi sql.FromItem, where expr.Expr) ([]storage.OID, err
 		err = db.Cat.ScanExtent(fi.Class, check)
 	}
 	return out, err
+}
+
+// matches evaluates WHERE on one object; an evaluation error counts as no
+// match.
+func (db *DB) matches(fi sql.FromItem, where expr.Expr, oid storage.OID, v object.Value) bool {
+	if where == nil {
+		return true
+	}
+	env := &expr.Env{
+		Vars:    map[string]object.Value{fi.Var: v},
+		OIDs:    map[string]storage.OID{fi.Var: oid},
+		Resolve: db.Cat.Resolver(),
+		Invoke:  db.Alg.Invoke,
+	}
+	ok, err := expr.EvalBool(where, env)
+	return err == nil && ok
 }

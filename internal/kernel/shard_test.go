@@ -41,7 +41,14 @@ func exchangeSmallExtents(db *DB) {
 // parallelism and loads the deterministic vehicle database into it.
 func buildShardVehicleDB(t testing.TB, nshards, parallelism int) *DB {
 	t.Helper()
-	db, err := Open(shardOptions(nshards, parallelism))
+	return openVehicleDB(t, shardOptions(nshards, parallelism))
+}
+
+// openVehicleDB opens a kernel with opts and loads the deterministic
+// vehicle database into it.
+func openVehicleDB(t testing.TB, opts Options) *DB {
+	t.Helper()
+	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

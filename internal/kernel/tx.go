@@ -293,10 +293,17 @@ func (db *DB) execDML(tx *Tx, st sql.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		updated := 0
 		for _, oid := range targets {
 			old, class, err := tx.read(oid, lock.ModeX)
 			if err != nil {
 				return nil, err
+			}
+			// The target was chosen on an unlocked read, perhaps of a value
+			// another transaction has since rolled back: WHERE decides on
+			// the value read under X.
+			if !db.matches(n.From, n.Where, oid, old) {
+				continue
 			}
 			// GetObject may return the cache's copy, whose backing storage
 			// is shared with every other reader; mutate a private clone.
@@ -325,19 +332,29 @@ func (db *DB) execDML(tx *Tx, st sql.Statement) (*Result, error) {
 			if err := tx.Update(oid, v); err != nil {
 				return nil, err
 			}
+			updated++
 		}
-		return message("%d object(s) updated", len(targets)), nil
+		return message("%d object(s) updated", updated), nil
 	case *sql.Delete:
 		targets, err := db.matchTargets(n.From, n.Where)
 		if err != nil {
 			return nil, err
 		}
+		deleted := 0
 		for _, oid := range targets {
+			old, _, err := tx.read(oid, lock.ModeX)
+			if err != nil {
+				return nil, err
+			}
+			if !db.matches(n.From, n.Where, oid, old) {
+				continue
+			}
 			if err := tx.Delete(oid); err != nil {
 				return nil, err
 			}
+			deleted++
 		}
-		return message("%d object(s) deleted", len(targets)), nil
+		return message("%d object(s) deleted", deleted), nil
 	}
 	return nil, fmt.Errorf("kernel: %T is not a data manipulation statement", st)
 }

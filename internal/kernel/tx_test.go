@@ -370,3 +370,87 @@ func TestAutocommitDMLIsAtomic(t *testing.T) {
 		t.Errorf("%d employees after the failed UPDATE, want 3", n)
 	}
 }
+
+// TestDMLRechecksWhereUnderLock: UPDATE and DELETE choose their targets on
+// an unlocked scan, so a target may be chosen on another transaction's
+// uncommitted value. WHERE is evaluated again on the value read under the
+// X lock: once that transaction rolls back, the target no longer matches
+// and is left alone. Autocommit and in a transaction alike.
+func TestDMLRechecksWhereUnderLock(t *testing.T) {
+	for _, tc := range []struct {
+		name, stmt string
+		inTx       bool
+	}{
+		{"autocommit-update", "UPDATE Employee e SET age = 0 WHERE e.age = 50", false},
+		{"tx-update", "UPDATE Employee e SET age = 0 WHERE e.age = 50", true},
+		{"autocommit-delete", "DELETE FROM Employee e WHERE e.age = 50", false},
+		{"tx-delete", "DELETE FROM Employee e WHERE e.age = 50", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openAndDefine(t)
+			setup := db.Begin()
+			oid, err := setup.Create("Employee", employee("shared", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := setup.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			writer := db.Begin()
+			v, _, err := writer.Get(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v = v.Clone()
+			v.SetField("age", object.NewInt(50))
+			if err := writer.Update(oid, v); err != nil {
+				t.Fatal(err)
+			}
+
+			_, waits0, _ := db.Locks.Stats()
+			done := make(chan error, 1)
+			go func() {
+				if !tc.inTx {
+					_, err := db.Execute(tc.stmt)
+					done <- err
+					return
+				}
+				tx := db.Begin()
+				if _, err := db.ExecuteInTx(tx, tc.stmt); err != nil {
+					tx.Abort()
+					done <- err
+					return
+				}
+				done <- tx.Commit()
+			}()
+			// The statement chose the object on age 50 and now waits for
+			// the writer's X lock.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				select {
+				case err := <-done:
+					t.Fatalf("statement finished (err %v) while a transaction held X on its target", err)
+				default:
+				}
+				if _, waits, _ := db.Locks.Stats(); waits > waits0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("statement neither finished nor waited for a lock")
+				}
+			}
+			if err := writer.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := db.Cat.GetObject(oid)
+			if err != nil {
+				t.Fatalf("the employee is gone after the abort: %v", err)
+			}
+			if age, _ := got.Field("age"); age.Int != 30 {
+				t.Errorf("age = %d after the abort, want 30: the statement wrote a target WHERE no longer matched", age.Int)
+			}
+		})
+	}
+}

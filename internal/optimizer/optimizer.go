@@ -181,25 +181,31 @@ func (o *Optimizer) planTerm(q *sql.Select, cls *classifier, term AndTerm) (Plan
 
 	groups := map[string]*group{}
 	for _, fi := range q.From {
-		base, err := o.basePlan(fi, classified.Imm[fi.Var], classified.Other[fi.Var])
-		if err != nil {
-			return nil, te, err
-		}
+		base := o.basePlan(fi, classified.Imm[fi.Var], classified.Other[fi.Var])
 		groups[fi.Var] = &group{plan: base, vars: map[string]bool{fi.Var: true}}
 	}
 
-	// Algorithm 8.1: order ALL path selections of the term by F/(1-s).
+	// Algorithm 8.1: order ALL path selections of the term by F/(1-s)
+	// (orderKey).
 	var paths []PathSelInfo
 	for _, ps := range classified.Paths {
 		paths = append(paths, ps...)
 	}
-	sort.SliceStable(paths, func(i, j int) bool { return paths[i].Rank < paths[j].Rank })
-	te.Paths = paths
+	keys := make([]float64, len(paths))
+	order := make([]int, len(paths))
+	for i, ps := range paths {
+		keys[i], order[i] = o.orderKey(cls, ps), i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	te.Paths = make([]PathSelInfo, len(paths))
+	for i, k := range order {
+		te.Paths[i] = paths[k]
+	}
 
 	nameGen := newVarNamer(cls.varClass)
-	for _, ps := range paths {
+	for _, ps := range te.Paths {
 		g := groups[ps.RangeVar]
-		plan, err := o.expandPath(g, ps, nameGen, groups)
+		plan, err := o.expandPath(cls, g, ps, nameGen)
 		if err != nil {
 			return nil, te, err
 		}
@@ -244,7 +250,7 @@ func (o *Optimizer) planTerm(q *sql.Select, cls *classifier, term AndTerm) (Plan
 
 // basePlan builds the access plan of one FROM range variable: §8.1's choice
 // of indexes and ordering of atomic selections.
-func (o *Optimizer) basePlan(fi sql.FromItem, imms []ImmSelInfo, others []OtherSelInfo) (Plan, error) {
+func (o *Optimizer) basePlan(fi sql.FromItem, imms []ImmSelInfo, others []OtherSelInfo) Plan {
 	card := 1.0
 	var nbpages float64
 	var classStats cost.ClassStats
@@ -330,7 +336,7 @@ func (o *Optimizer) basePlan(fi sql.FromItem, imms []ImmSelInfo, others []OtherS
 	if len(preds) > 0 {
 		plan = &SelectPlan{Input: plan, Pred: AndTerm(preds).Expr(), card: selCard}
 	}
-	return plan, nil
+	return plan
 }
 
 // varNamer invents range-variable names for the intermediate classes of a
@@ -436,7 +442,7 @@ func (o *Optimizer) methodCost(in cost.JoinInput, m cost.JoinMethod) (float64, e
 	case cost.BackwardTraversal:
 		return o.Stats.BackwardCost(in)
 	case cost.BinaryJoinIndex:
-		return o.Stats.BJICost(in, math.Min(in.Kc, in.Kd))
+		return o.Stats.BJIJoinCost(in, math.Min(in.Kc, in.Kd))
 	case cost.HashPartition:
 		return o.Stats.HashPartitionCost(in)
 	case cost.FusionJoin:
@@ -484,11 +490,9 @@ func (o *Optimizer) joinCard(left, right *segment, attr string) float64 {
 
 // expandPath realizes one path-selection predicate p.A1...Am θ c as a tree
 // of implicit joins ordered by Algorithm 8.2, starting from the range
-// variable's current plan. finalGroup, when non-nil, supplies the last
-// segment (used for explicit join predicates whose path lands on another
-// range variable); otherwise the final segment selects the atomic predicate
-// over the path's last class.
-func (o *Optimizer) expandPath(g *group, ps PathSelInfo, vn *varNamer, groups map[string]*group) (Plan, error) {
+// variable's current plan. The final segment is the atomic selection over
+// the path's last class, planned by pathSelection.
+func (o *Optimizer) expandPath(cls *classifier, g *group, ps PathSelInfo, vn *varNamer) (Plan, error) {
 	// Build Δ: the segments of the chain C0 .. C_{m}.
 	segs := []*segment{{
 		plan: g.plan, leftVar: ps.RangeVar, leftClass: hopClass(ps, 0),
@@ -500,28 +504,16 @@ func (o *Optimizer) expandPath(g *group, ps PathSelInfo, vn *varNamer, groups ma
 		attrs = append(attrs, hop.Attribute)
 		targetClass := hopTarget(ps, i)
 		v := vn.fresh(hop.Attribute)
-		var seg *segment
+		var plan Plan = &BindPlan{Class: targetClass, Var: v, card: classCard(o.Stats, targetClass)}
 		if i == len(ps.Path.Hops)-1 && ps.Path.FinalAttr != "" {
-			// Last class carries the atomic selection.
-			sel := atomicPredExpr(v, ps)
-			base := &BindPlan{Class: targetClass, Var: v, card: classCard(o.Stats, targetClass)}
-			fs := atomicSelectivity(o.Stats, targetClass, ps)
-			seg = &segment{
-				plan:    &SelectPlan{Input: base, Pred: sel, card: base.card * fs},
-				leftVar: v, leftClass: targetClass,
-				rightVar: v, rightClass: targetClass,
-				card: base.card * fs,
-			}
-		} else {
-			base := &BindPlan{Class: targetClass, Var: v, card: classCard(o.Stats, targetClass)}
-			seg = &segment{
-				plan:    base,
-				leftVar: v, leftClass: targetClass,
-				rightVar: v, rightClass: targetClass,
-				card: base.card,
-			}
+			plan, _ = o.pathSelection(cls, v, ps)
 		}
-		segs = append(segs, seg)
+		segs = append(segs, &segment{
+			plan:    plan,
+			leftVar: v, leftClass: targetClass,
+			rightVar: v, rightClass: targetClass,
+			card: plan.Card(),
+		})
 	}
 	merged, err := o.greedyJoin(segs, attrs)
 	if err != nil {
@@ -529,8 +521,75 @@ func (o *Optimizer) expandPath(g *group, ps PathSelInfo, vn *varNamer, groups ma
 	}
 	// Every intermediate variable now belongs to the group.
 	collectVars(merged.plan, g.vars)
-	_ = groups
 	return merged.plan, nil
+}
+
+// pathSelection plans a path predicate's atomic selection over the path's
+// final class as basePlan plans a FROM variable's: §8.1's rule makes it an
+// INDSEL when the index pays, SELECT(BIND) otherwise. The plan-cache
+// parameter indices travel with the constants, so a cached plan rebinds
+// them. An index serves only when it holds exactly the objects the bind
+// would yield — the index covers its class's IS-A closure, the bind the
+// class's direct extent — so the rows never depend on the choice. The
+// returned ImmSelInfo carries §8.1's cost_i.
+func (o *Optimizer) pathSelection(cls *classifier, v string, ps PathSelInfo) (Plan, ImmSelInfo) {
+	class := ps.Path.FinalClass
+	im := ImmSelInfo{
+		RangeVar: v, Predicate: atomicPredExpr(v, ps),
+		Simple: sql.PathRef{Var: v, Path: []string{ps.Path.FinalAttr}},
+		Op:     ps.Op, Constant: ps.Constant, Constant2: ps.Constant2,
+		ConstParam: ps.ConstParam, Const2Param: ps.Const2Param, Between: ps.Between,
+	}
+	cls.fillImmCosts(cls.declaringClass(class, ps.Path.FinalAttr), &im)
+	if im.Index != nil && !o.indexIsExtent(im.Index, class) {
+		im.Index, im.IndexedCost, im.AccessType = nil, inf(), "sequential"
+	}
+	return o.basePlan(sql.FromItem{Class: class, Var: v}, []ImmSelInfo{im}, nil), im
+}
+
+// indexIsExtent reports whether an index on ix.Class holds exactly class's
+// direct extent: the index's class is class itself and has no subclasses.
+func (o *Optimizer) indexIsExtent(ix *catalog.Index, class string) bool {
+	if ix.Class != class {
+		return false
+	}
+	closure, err := o.Cat.Closure(class)
+	return err == nil && len(closure) == 1
+}
+
+// orderKey is Algorithm 8.1's sort key of a path selection: F/(1-s), the
+// Rank of Table 12, except in the backward regime. A one-hop path whose hop
+// has a registered join index and whose final selection §8.1 serves by
+// index can instead start from the target: the index selection (cost_i),
+// the join-index probes from its k_d objects (BJICost) and the fetch of
+// their sources (BJISourceCost). The key then uses min(F, F_backward).
+func (o *Optimizer) orderKey(cls *classifier, ps PathSelInfo) float64 {
+	key := ps.Rank
+	if len(ps.Path.Hops) != 1 || ps.Path.FinalAttr == "" {
+		return key
+	}
+	hop := ps.Path.Hops[0]
+	e, ok := o.bjis[hop.Class+"."+hop.Attribute]
+	if !ok {
+		return key
+	}
+	target, im := o.pathSelection(cls, ps.RangeVar, ps)
+	if _, indexed := target.(*IndSelPlan); !indexed {
+		return key
+	}
+	in := cost.JoinInput{
+		Class: hop.Class, Attribute: hop.Attribute,
+		Kc: classCard(o.Stats, hop.Class), Kd: target.Card(), BJIdx: &e.st,
+	}
+	bjc, err := o.Stats.BJIJoinCost(in, in.Kd)
+	if err != nil {
+		return key
+	}
+	denom := 1 - ps.Selectivity
+	if denom <= 0 {
+		denom = 1e-12
+	}
+	return math.Min(key, (im.IndexedCost+bjc)/denom)
 }
 
 // applyJoinPred realizes an explicit join predicate (path = var): the path
@@ -664,27 +723,6 @@ func atomicPredExpr(v string, ps PathSelInfo) expr.Expr {
 			Hi: &expr.Const{Val: ps.Constant2, Param: ps.Const2Param}}
 	}
 	return &expr.Cmp{Op: ps.Op, L: attr, R: &expr.Const{Val: ps.Constant, Param: ps.ConstParam}}
-}
-
-func atomicSelectivity(st *cost.Stats, class string, ps PathSelInfo) float64 {
-	as, err := st.Attr(class, ps.Path.FinalAttr)
-	if err != nil {
-		return defaultMethodSelectivity
-	}
-	c1, _ := ps.Constant.AsFloat()
-	c2, _ := ps.Constant2.AsFloat()
-	kind := cost.CmpEq
-	switch {
-	case ps.Between:
-		kind = cost.CmpBetween
-	case ps.Op == expr.OpNe:
-		kind = cost.CmpNe
-	case ps.Op == expr.OpGt || ps.Op == expr.OpGe:
-		kind = cost.CmpGt
-	case ps.Op == expr.OpLt || ps.Op == expr.OpLe:
-		kind = cost.CmpLt
-	}
-	return as.Selectivity(kind, c1, c2)
 }
 
 // isAccessed reports whether the plan materializes its objects in memory

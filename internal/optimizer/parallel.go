@@ -73,7 +73,12 @@ func parallelize(p Plan, workers int, minPages float64, st *cost.Stats) Plan {
 		// fetching objects; exchanging them would force the fetches the
 		// lazy path exists to avoid. Leave the whole subtree serial.
 	case *JoinPlan:
-		left := parallelize(n.Left, workers, minPages, st)
+		left := n.Left
+		if _, bare := n.Left.(*BindPlan); !bare || n.Method != cost.BinaryJoinIndex {
+			// A join-index join absorbs a bare-bind left side the same way
+			// (its sources are fetched, the extent never scanned).
+			left = parallelize(n.Left, workers, minPages, st)
+		}
 		right := n.Right
 		if n.Method != cost.FusionJoin {
 			// A fusion join absorbs its bind-shaped right child into the
