@@ -6,7 +6,8 @@
 #                        package, the parallel, cache, shard, cluster,
 #                        commit and join walls included), plus the
 #                        end-to-end benchmark module's short tests
-#   make vet             static analysis
+#   make vet             static analysis, and gofmt must list no file of
+#                        the repository or of bench/
 #   make crashtest       the seeded crash/recovery torture harness:
 #                        single-store, sharded, and mid-migration cluster
 #                        modes (CRASHTEST_ITERS=n to scale, CRASHTEST_SEED=n
@@ -74,6 +75,8 @@ race:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . bench); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 crashtest:
 	CRASHTEST_ITERS=$(CRASHTEST_ITERS) $(GO) test -race -v -run 'TestTorture|TestTornWrite|TestRunIsDeterministic|TestShardedTorture|TestRunShardedIsDeterministic|TestRunClusterIsDeterministic|TestRunJoinIndexIsDeterministic|TestGroupCommitCrashTorture|TestRunGroupFaultFree|TestRunGroupIsDeterministic' ./internal/crashtest

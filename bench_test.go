@@ -250,7 +250,7 @@ func BenchmarkIndexVsScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := a.IndSel("Vehicle", "v", catalog.BTreeIndex, algebra.SimplePredicate{
 				Attribute: "id", Op: expr.OpEq, Constant: object.NewInt(42),
-			}); err != nil {
+			}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

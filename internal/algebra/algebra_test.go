@@ -147,7 +147,7 @@ func TestIndSel(t *testing.T) {
 	}
 	out, err := a.IndSel("VehicleEngine", "e", catalog.BTreeIndex, SimplePredicate{
 		Attribute: "cylinders", Op: expr.OpEq, Constant: object.NewInt(4),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestIndSel(t *testing.T) {
 	// Strict > re-checks against base objects.
 	gt, err := a.IndSel("VehicleEngine", "e", catalog.BTreeIndex, SimplePredicate{
 		Attribute: "cylinders", Op: expr.OpGt, Constant: object.NewInt(30),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestIndSel(t *testing.T) {
 	btw, err := a.IndSel("VehicleEngine", "e", catalog.BTreeIndex, SimplePredicate{
 		Attribute: "cylinders", Between: true,
 		Constant: object.NewInt(4), Constant2: object.NewInt(8),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestIndSel(t *testing.T) {
 	// Missing index errors.
 	if _, err := a.IndSel("VehicleEngine", "e", catalog.HashIndex, SimplePredicate{
 		Attribute: "size", Op: expr.OpEq, Constant: object.NewInt(1),
-	}); !errors.Is(err, ErrNoIndex) {
+	}, nil); !errors.Is(err, ErrNoIndex) {
 		t.Errorf("IndSel without index = %v", err)
 	}
 }

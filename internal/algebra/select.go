@@ -49,8 +49,9 @@ type SimplePredicate struct {
 // IS-A closure) using an index of the requested kind — IndSel(arg,
 // index_type, P). The return value is a Set of object identifiers, per the
 // paper. ErrNoIndex is returned when no index of that kind exists on the
-// attribute.
-func (a *Algebra) IndSel(class, bindName string, indexKind catalog.IndexKind, p SimplePredicate) (*Collection, error) {
+// attribute. With allowed set, only objects of the classes it names are
+// selected; nil admits every class the index holds.
+func (a *Algebra) IndSel(class, bindName string, indexKind catalog.IndexKind, p SimplePredicate, allowed map[string]bool) (*Collection, error) {
 	oids, err := a.IndSelCandidates(class, indexKind, p)
 	if err != nil {
 		return nil, err
@@ -61,9 +62,12 @@ func (a *Algebra) IndSel(class, bindName string, indexKind catalog.IndexKind, p 
 	pred := a.RecheckExpr(bindName, p)
 	re := a.NewRowEvaluator()
 	for _, oid := range oids {
-		v, _, err := a.Cat.GetObject(oid)
+		v, name, err := a.Cat.GetObject(oid)
 		if err != nil {
 			return nil, err
+		}
+		if allowed != nil && !allowed[name] {
+			continue
 		}
 		row := Row{Vars: map[string]Bound{bindName: {OID: oid, Val: v}}}
 		ok, err := re.EvalBool(row, pred)

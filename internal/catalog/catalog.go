@@ -72,9 +72,15 @@ type Class struct {
 	extent *storage.Extent
 
 	// mutations counts the creates, updates and deletes applied to the
-	// extent. It moves after the store change, so a reader that loads it
-	// before scanning either sees the change or holds an older count.
+	// extent. It moves after the store change and the statistics delta, so
+	// a reader that loads it before scanning either sees the change or
+	// holds an older count, and one that sees it move sees the delta.
 	mutations atomic.Uint64
+
+	// writers is held shared by every CreateObject, UpdateObject and
+	// DeleteObject on the class across its store change, statistics delta
+	// and counter move, and exclusively by ExcludeWriters.
+	writers sync.RWMutex
 }
 
 // Extent returns the class's default extent (nil for pure types).
@@ -84,6 +90,16 @@ func (c *Class) Extent() *storage.Extent { return c.extent }
 // CreateObject, UpdateObject and DeleteObject on the class's own extent
 // (the logical undo of an abort goes through the same calls).
 func (c *Class) Mutations() uint64 { return c.mutations.Load() }
+
+// ExcludeWriters waits for the object writes under way on the class to
+// finish and holds off new ones until AdmitWriters. The statistics base
+// holds it while it scans an extent whose statistics writers will keep by
+// deltas afterwards, so that no write is both seen by the scan and applied
+// as a delta, or neither.
+func (c *Class) ExcludeWriters() { c.writers.Lock() }
+
+// AdmitWriters ends ExcludeWriters.
+func (c *Class) AdmitWriters() { c.writers.Unlock() }
 
 // Catalog is the schema and object manager.
 type Catalog struct {
@@ -115,6 +131,11 @@ type Catalog struct {
 	// time, read-only after.
 	mutObs MutationObserver
 
+	// statsObs, when set, receives every object mutation inside the
+	// class's write section — the statistics base's delta feed. Installed
+	// once at open time, read-only after.
+	statsObs StatsObserver
+
 	// schema moves with every class or type definition and drop.
 	schema atomic.Uint64
 }
@@ -132,6 +153,13 @@ type AccessObserver func(oids []storage.OID)
 // mutating call after the fact — the store change stands, matching the
 // partial-failure semantics of attribute-index maintenance.
 type MutationObserver func(op byte, class string, oid storage.OID, old, new object.Value) error
+
+// StatsObserver receives every object mutation of the class's extent after
+// the store change and before the class's mutation counter moves, while
+// the class's writers are admitted (Class.ExcludeWriters waits for it); op,
+// old and new are as for MutationObserver. Implementations must be safe
+// for concurrent calls and must not call back into the catalog.
+type StatsObserver func(op byte, cl *Class, old, new object.Value)
 
 // New creates a catalog over the store, bootstrapping its system extents
 // (SYS.MoodsType, SYS.MoodsIndex). The store may be a single ObjectStore or

@@ -46,11 +46,13 @@ func (c *Catalog) CreateObject(class string, v object.Value) (storage.OID, error
 	if err := full.Check(v); err != nil {
 		return storage.NilOID, err
 	}
-	oid, err := c.store.InsertExtent(cl.extent, encodeObject(cl.ID, v))
-	if err != nil {
+	var oid storage.OID
+	if err := c.write('c', cl, object.Value{}, v, func() (err error) {
+		oid, err = c.store.InsertExtent(cl.extent, encodeObject(cl.ID, v))
+		return err
+	}); err != nil {
 		return storage.NilOID, err
 	}
-	cl.mutations.Add(1)
 	if err := c.indexInsert(class, v, oid); err != nil {
 		return storage.NilOID, err
 	}
@@ -84,6 +86,26 @@ func (c *Catalog) ObjectCache() *objcache.Cache { return c.ocache }
 // by GetObjects with its request-ordered input batch. Install once at open
 // time, before the catalog is shared; nil detaches.
 func (c *Catalog) SetAccessObserver(obs AccessObserver) { c.accObs = obs }
+
+// SetStatsObserver attaches the statistics delta hook (see StatsObserver).
+// Install once at open time, before the catalog is shared; nil detaches.
+func (c *Catalog) SetStatsObserver(obs StatsObserver) { c.statsObs = obs }
+
+// write applies one store change to the class's extent inside the class's
+// write section; when it succeeds the statistics observer sees the change
+// and then the mutation counter moves.
+func (c *Catalog) write(op byte, cl *Class, old, new object.Value, change func() error) error {
+	cl.writers.RLock()
+	defer cl.writers.RUnlock()
+	if err := change(); err != nil {
+		return err
+	}
+	if c.statsObs != nil {
+		c.statsObs(op, cl, old, new)
+	}
+	cl.mutations.Add(1)
+	return nil
+}
 
 // SetMutationObserver attaches the object-mutation hook fired by
 // CreateObject, UpdateObject and DeleteObject after the store change is
@@ -241,10 +263,11 @@ func (c *Catalog) UpdateObject(oid storage.OID, v object.Value) error {
 			return err
 		}
 	}
-	if err := c.store.Update(oid, encodeObject(cl.ID, v)); err != nil {
+	if err := c.write('u', cl, old, v, func() error {
+		return c.store.Update(oid, encodeObject(cl.ID, v))
+	}); err != nil {
 		return err
 	}
-	cl.mutations.Add(1)
 	for _, ix := range changed {
 		if err := ix.insert(v, oid); err != nil {
 			return err
@@ -269,10 +292,11 @@ func (c *Catalog) DeleteObject(oid storage.OID) error {
 	if err := c.indexDelete(class, old, oid); err != nil {
 		return err
 	}
-	if err := c.store.Delete(oid); err != nil {
+	if err := c.write('d', cl, old, object.Value{}, func() error {
+		return c.store.Delete(oid)
+	}); err != nil {
 		return err
 	}
-	cl.mutations.Add(1)
 	if c.mutObs != nil {
 		return c.mutObs('d', class, oid, old, object.Value{})
 	}

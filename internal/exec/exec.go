@@ -99,7 +99,11 @@ func (e *Executor) ExecuteMaterialized(p optimizer.Plan) (*algebra.Collection, e
 		return e.Alg.BindDirect(n.Class, n.Var)
 
 	case *optimizer.IndSelPlan:
-		return e.Alg.IndSel(n.Class, n.Var, n.Index.Kind, n.Pred)
+		allowed, err := bindClasses(e.Alg.Cat, n.Class, n.Every, nil)
+		if err != nil {
+			return nil, err
+		}
+		return e.Alg.IndSel(n.Class, n.Var, n.Index.Kind, n.Pred, allowed)
 
 	case *optimizer.IntersectPlan:
 		cur, err := e.ExecuteMaterialized(n.Inputs[0])

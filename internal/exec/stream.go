@@ -110,7 +110,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 	case *optimizer.IndSelPlan:
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: n.Var, Class: n.Class}
 		c.op = &indSelOp{
-			alg: e.Alg, class: n.Class, varName: n.Var,
+			alg: e.Alg, class: n.Class, every: n.Every, varName: n.Var,
 			indexKind: n.Index.Kind, pred: n.Pred, funcs: e.queryFuncs(),
 		}
 
@@ -137,7 +137,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		}
 		first := n.Inputs[0].(*optimizer.IndSelPlan)
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: first.Var, Class: first.Class}
-		c.op = &intersectOp{alg: e.Alg, kids: kids, varName: first.Var, rechecks: rechecks}
+		c.op = &intersectOp{alg: e.Alg, kids: kids, varName: first.Var, class: first.Class, every: first.Every, rechecks: rechecks}
 
 	case *optimizer.SelectPlan:
 		if bp, ok := n.Input.(*optimizer.BindPlan); ok {
@@ -486,11 +486,15 @@ func (o *scanSelectOp) compiledPredicate() (active, full bool) {
 type withCandidatesOnly interface{ candidatesOnly() }
 
 // indSelOp is INDSEL(Class, var, index, P): the index probe happens at
-// Open, object fetches and the predicate re-check stream per NextBatch. In
-// candidates-only mode it emits the probed OIDs without fetching.
+// Open, object fetches and the predicate re-check stream per NextBatch. A
+// fetched candidate of a class the variable does not range over (the index
+// holds its class's whole closure) is dropped like one the re-check
+// rejects. In candidates-only mode it emits the probed OIDs without
+// fetching; the consuming intersect then drops them.
 type indSelOp struct {
 	alg       *algebra.Algebra
 	class     string
+	every     bool
 	varName   string
 	indexKind catalog.IndexKind
 	pred      algebra.SimplePredicate
@@ -499,6 +503,7 @@ type indSelOp struct {
 
 	oids    []storage.OID
 	i       int
+	allowed map[string]bool // class names the variable ranges over
 	recheck expr.Expr
 	predFn  expr.PredFn // nil → interpret the recheck through re
 	resolve object.Resolver
@@ -514,6 +519,9 @@ func (o *indSelOp) Open() error {
 	}
 	o.oids = oids
 	if !o.probeOnly {
+		if o.allowed, err = bindClasses(o.alg.Cat, o.class, o.every, nil); err != nil {
+			return err
+		}
 		o.recheck = o.alg.RecheckExpr(o.varName, o.pred)
 		o.re = o.alg.NewRowEvaluator()
 		o.predFn, _ = o.funcs.Predicate(o.varName, o.recheck)
@@ -531,9 +539,12 @@ func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 		oid := o.oids[o.i]
 		o.i++
 		if !o.probeOnly {
-			v, _, err := o.alg.Cat.GetObject(oid)
+			v, name, err := o.alg.Cat.GetObject(oid)
 			if err != nil {
 				return 0, err
+			}
+			if !o.allowed[name] {
+				continue
 			}
 			ok, err := o.recheckOne(o.re, oid, &v)
 			if err != nil {
@@ -576,12 +587,15 @@ func (o *indSelOp) tasks() (taskSet, error) {
 		n:       len(chunks),
 		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) },
 		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
-			vals, _, err := o.alg.Cat.GetObjects(chunks[t])
+			vals, names, err := o.alg.Cat.GetObjects(chunks[t])
 			if err != nil {
 				return nil, 0, err
 			}
 			var rows []algebra.Row
 			for i, oid := range chunks[t] {
+				if !o.allowed[names[i]] {
+					continue
+				}
 				ok, err := o.recheckOne(re, oid, &vals[i])
 				if err != nil {
 					return nil, 0, err
@@ -610,11 +624,14 @@ type intersectOp struct {
 	alg      *algebra.Algebra
 	kids     []*compiled
 	varName  string
+	class    string // the inputs' class and EVERY, as in indSelOp
+	every    bool
 	rechecks []expr.Expr
 
-	oids []storage.OID
-	i    int
-	re   *algebra.RowEvaluator
+	oids    []storage.OID
+	i       int
+	allowed map[string]bool
+	re      *algebra.RowEvaluator
 }
 
 func (o *intersectOp) Open() error {
@@ -652,7 +669,9 @@ func (o *intersectOp) Open() error {
 		}
 	}
 	o.re = o.alg.NewRowEvaluator()
-	return nil
+	var err error
+	o.allowed, err = bindClasses(o.alg.Cat, o.class, o.every, nil)
+	return err
 }
 
 func (o *intersectOp) NextBatch(b *RowBatch) (int, error) {
@@ -661,9 +680,12 @@ next:
 	for n < len(b.Rows) && o.i < len(o.oids) {
 		oid := o.oids[o.i]
 		o.i++
-		v, _, err := o.alg.Cat.GetObject(oid)
+		v, name, err := o.alg.Cat.GetObject(oid)
 		if err != nil {
 			return 0, err
+		}
+		if !o.allowed[name] {
+			continue
 		}
 		env, err := o.re.Env(algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}})
 		if err != nil {
@@ -1089,7 +1111,7 @@ func (o *bjiJoinOp) Open() error {
 	}
 	if o.leftBind != nil {
 		var err error
-		if o.allowed, err = bindClasses(o.alg.Cat, o.leftBind); err != nil {
+		if o.allowed, err = bindClasses(o.alg.Cat, o.leftBind.Class, o.leftBind.Every, o.leftBind.Minus); err != nil {
 			return err
 		}
 		return o.right.op.Open()
@@ -1195,14 +1217,14 @@ func (o *bjiJoinOp) fetchSources(refs []storage.OID) ([]object.Value, []string, 
 	return vals, names, nil
 }
 
-// bindClasses is the set of class names a bind yields objects of: the class
-// alone for a bare bind (its direct extent), its IS-A closure under EVERY or
-// an exclusion, less the closures of the excluded subclasses.
-func bindClasses(cat *catalog.Catalog, bp *optimizer.BindPlan) (map[string]bool, error) {
-	if !bp.Every && len(bp.Minus) == 0 {
-		return map[string]bool{bp.Class: true}, nil
+// bindClasses is the set of class names a bind of class yields objects of:
+// the class alone for a bare bind (its direct extent), its IS-A closure
+// under EVERY or an exclusion, less the closures of the excluded subclasses.
+func bindClasses(cat *catalog.Catalog, class string, every bool, minus []string) (map[string]bool, error) {
+	if !every && len(minus) == 0 {
+		return map[string]bool{class: true}, nil
 	}
-	closure, err := cat.Closure(bp.Class)
+	closure, err := cat.Closure(class)
 	if err != nil {
 		return nil, err
 	}
@@ -1210,7 +1232,7 @@ func bindClasses(cat *catalog.Catalog, bp *optimizer.BindPlan) (map[string]bool,
 	for _, name := range closure {
 		allowed[name] = true
 	}
-	for _, m := range bp.Minus {
+	for _, m := range minus {
 		sub, err := cat.Closure(m)
 		if err != nil {
 			return nil, err
@@ -1415,7 +1437,7 @@ type fusionJoinOp struct {
 func (o *fusionJoinOp) Open() error {
 	o.resolve = o.alg.Cat.Resolver()
 	var err error
-	if o.allowed, err = bindClasses(o.alg.Cat, o.bind); err != nil {
+	if o.allowed, err = bindClasses(o.alg.Cat, o.bind.Class, o.bind.Every, o.bind.Minus); err != nil {
 		return err
 	}
 	lc, err := o.left.drain()

@@ -352,7 +352,7 @@ func indexSelectionSweep(w io.Writer, env *Env) error {
 		idxOut, err := a2.IndSel("Vehicle", "v", catalog.BTreeIndex, algebra.SimplePredicate{
 			Attribute: "weight", Between: true,
 			Constant: object.NewInt(wd.lo), Constant2: object.NewInt(wd.hi),
-		})
+		}, nil)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mood/internal/catalog"
+	"mood/internal/expr"
 	"mood/internal/lock"
 	"mood/internal/object"
 	"mood/internal/storage"
@@ -203,5 +204,54 @@ func TestRegisterUndeclared(t *testing.T) {
 	bad := &catalog.MethodSig{Class: "Vehicle", Name: "undeclared", ReturnType: object.TInteger}
 	if err := m.Register(bad, lbweight); err == nil {
 		t.Error("undeclared method registered")
+	}
+}
+
+// TestQueryRegistryBounded: every distinct literal is a fragment of its own,
+// yet resolving ten times the registry's capacity keeps it within capacity,
+// and every resolved predicate, recompiled after its drop or not, still
+// evaluates correctly.
+func TestQueryRegistryBounded(t *testing.T) {
+	r := NewQueryRegistry()
+	const capacity = 2 * queryGeneration
+	eq := func(n int) expr.Expr {
+		return &expr.Cmp{Op: expr.OpEq, L: expr.Path("v", "weight"), R: &expr.Const{Val: object.NewInt(int32(n))}}
+	}
+	check := func(n int) {
+		t.Helper()
+		fn, ok := r.Predicate("v", eq(n))
+		if !ok {
+			t.Fatalf("v.weight = %d did not lower", n)
+		}
+		for _, w := range []int{n, n + 1} {
+			v := object.NewTuple([]string{"weight"}, []object.Value{object.NewInt(int32(w))})
+			got, err := fn(&v, storage.NilOID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != (w == n) {
+				t.Fatalf("v.weight = %d on weight %d: %v", n, w, got)
+			}
+		}
+	}
+	for n := 0; n < 10*capacity; n++ {
+		check(n)
+		check(n / 2) // an older literal again: kept, moved back or recompiled
+		if size := len(r.fns) + len(r.old); size > capacity {
+			t.Fatalf("after %d literals the registry holds %d fragments, capacity %d", n+1, size, capacity)
+		}
+	}
+	compilations, _, _ := r.QueryStats()
+	if compilations < 10*capacity {
+		t.Errorf("%d compilations for %d distinct literals", compilations, 10*capacity)
+	}
+	// A fragment resolved in every generation is never dropped.
+	before, _, _ := r.QueryStats()
+	for n := 0; n < 3*capacity; n++ {
+		check(-1)
+		check(10*capacity + n)
+	}
+	if after, _, _ := r.QueryStats(); after-before != 3*capacity+1 {
+		t.Errorf("%d compilations, want %d: the hot fragment was recompiled", after-before, 3*capacity+1)
 	}
 }

@@ -19,14 +19,27 @@ import (
 // compile/resolve through the same instance); the returned closures
 // themselves are read-only over their captured expression nodes and shared
 // freely across goroutines.
+//
+// Signatures include literal values, so every distinct constant compiles
+// a fragment of its own. The registry keeps two generations to stay
+// bounded: once the current one holds queryGeneration fragments it
+// becomes the old one and the previous old one is dropped, and a fragment
+// found in the old generation moves back into the current one. At most
+// 2·queryGeneration fragments are kept; a dropped one compiles again on
+// its next use.
 type QueryRegistry struct {
 	mu  sync.Mutex
-	fns map[string]*queryFn
+	fns map[string]*queryFn // the current generation
+	old map[string]*queryFn // the previous one
 
 	compilations int64 // distinct fragments lowered
 	resolutions  int64 // signature lookups served
 	fallbacks    int64 // fragments that did not fully lower
 }
+
+// queryGeneration is the number of fragments one generation of a
+// QueryRegistry holds.
+const queryGeneration = 1024
 
 type queryFn struct {
 	boolFn expr.BoolFn
@@ -48,17 +61,24 @@ func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
 	defer r.mu.Unlock()
 	q, ok := r.fns[key]
 	if !ok {
-		q = &queryFn{}
-		q.boolFn, q.full = expr.CompileBool(e)
-		q.fn, _ = expr.Compile(e)
-		if varName != "" {
-			q.pred, _ = expr.CompilePredicate(e, varName)
+		if q, ok = r.old[key]; ok {
+			delete(r.old, key)
+		} else {
+			q = &queryFn{}
+			q.boolFn, q.full = expr.CompileBool(e)
+			q.fn, _ = expr.Compile(e)
+			if varName != "" {
+				q.pred, _ = expr.CompilePredicate(e, varName)
+			}
+			r.compilations++
+			if !q.full {
+				r.fallbacks++
+			}
+		}
+		if len(r.fns) >= queryGeneration {
+			r.old, r.fns = r.fns, make(map[string]*queryFn)
 		}
 		r.fns[key] = q
-		r.compilations++
-		if !q.full {
-			r.fallbacks++
-		}
 	}
 	r.resolutions++
 	if !q.loaded {

@@ -246,6 +246,9 @@ func Open(opts Options) (*DB, error) {
 	// maintained join index in step with the extents (transaction aborts
 	// re-fire it with the logical undo's reversed values).
 	cat.SetMutationObserver(db.maintainBJIs)
+	// The statistics base keeps the entries of written classes by deltas
+	// from the same calls.
+	cat.SetStatsObserver(db.statsBase.Apply)
 	// Late-bound method dispatch for predicates and projections.
 	alg.Invoke = db.invoke
 	// Share the Function Manager's query registry so compiled predicate
@@ -421,8 +424,10 @@ func (db *DB) invalidateStats() {
 
 // Stats returns the current statistics base. While no class has been
 // mutated since the last call it returns the same base without a lock on
-// the catalog or an allocation; otherwise it re-scans the classes whose
-// IS-A closure was written and assembles a fresh base.
+// the catalog or an allocation; otherwise it assembles a fresh base from
+// the per-class entries, which writes keep by deltas once their class has
+// been written (stats.Base). Only the first write a counts-only entry's
+// closure sees makes it re-scan that closure.
 func (db *DB) Stats() (*cost.Stats, error) {
 	db.statsMu.Lock()
 	defer db.statsMu.Unlock()

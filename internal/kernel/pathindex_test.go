@@ -2,11 +2,16 @@ package kernel
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"mood/internal/exec"
+	"mood/internal/object"
 	"mood/internal/optimizer"
+	"mood/internal/storage"
+	"mood/internal/vehicledb"
 )
 
 // Index-aware path expansion: the atomic selection over a path's final
@@ -229,4 +234,124 @@ func absorbedJoinIndex(rep *exec.OpReport) bool {
 		}
 	}
 	return false
+}
+
+// TestIndSelKeepsFromClass: an index declared on Vehicle holds the whole
+// Vehicle closure, so an index selection over a FROM variable must drop the
+// candidates of classes the variable does not range over: a bare FROM class
+// is its direct extent, FROM EVERY its closure. Checked against a scan of
+// the extents, serial and exchanged, with one index and with two
+// (intersected) indexes.
+func TestIndSelKeepsFromClass(t *testing.T) {
+	cfg := vehicledb.Config{
+		Vehicles: 4000, DriveTrains: 2000, Engines: 2000, Companies: 400, Employees: 20,
+		Seed: 5, Subclasses: true,
+	}
+	type vehicle struct {
+		class      string
+		id, weight int64
+	}
+	type pred struct {
+		sql string
+		ok  func(v vehicle) bool
+	}
+	froms := []struct {
+		sql     string
+		classes []string
+	}{
+		{"Vehicle v", []string{"Vehicle"}},
+		{"Automobile v", []string{"Automobile"}},
+		{"EVERY Vehicle v", vehicleFamily},
+		{"EVERY Automobile v", []string{"Automobile", "JapaneseAuto"}},
+	}
+	for _, par := range []int{0, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Parallelism = par
+			db := openVehiclesWith(t, opts, cfg)
+			exchangeSmallExtents(db)
+			for _, ddl := range []string{"CREATE INDEX vid ON Vehicle(id)", "CREATE INDEX vw ON Vehicle(weight)"} {
+				if _, err := db.Execute(ddl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.RefreshStats(); err != nil {
+				t.Fatal(err)
+			}
+			var all []vehicle
+			probe := map[string]int64{} // one id per class
+			for _, class := range vehicleFamily {
+				if err := db.Cat.ScanExtent(class, func(_ storage.OID, v object.Value) bool {
+					id, _ := v.Field("id")
+					w, _ := v.Field("weight")
+					all = append(all, vehicle{class, id.Int, w.Int})
+					probe[class] = id.Int
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			intersected := false
+			// The weight of a JapaneseAuto: selective enough for the two
+			// indexes to be intersected, and held by more than one class.
+			w := int64(-1)
+			for _, v := range all {
+				if v.class == "JapaneseAuto" && v.id < 2000 {
+					w = v.weight
+				}
+			}
+			preds := []pred{
+				{"v.id = %d", nil}, // one query per probed id
+				{"v.id < 60", func(v vehicle) bool { return v.id < 60 }},
+				{"v.id < 60 AND v.weight > 1500", func(v vehicle) bool { return v.id < 60 && v.weight > 1500 }},
+				{fmt.Sprintf("v.id < 2000 AND v.weight = %d", w), func(v vehicle) bool { return v.id < 2000 && v.weight == w }},
+			}
+			for _, from := range froms {
+				in := map[string]bool{}
+				for _, c := range from.classes {
+					in[c] = true
+				}
+				for _, p := range preds {
+					sqls, oks := []string{p.sql}, []func(vehicle) bool{p.ok}
+					if p.ok == nil {
+						sqls, oks = nil, nil
+						for _, class := range vehicleFamily {
+							id := probe[class]
+							sqls = append(sqls, fmt.Sprintf(p.sql, id))
+							oks = append(oks, func(v vehicle) bool { return v.id == id })
+						}
+					}
+					for i, where := range sqls {
+						q := fmt.Sprintf("SELECT v.id FROM %s WHERE %s", from.sql, where)
+						res, err := db.Execute(q)
+						if err != nil {
+							t.Fatalf("%s: %v", q, err)
+						}
+						var got, want []int64
+						for _, row := range res.Rows {
+							got = append(got, row[0].Int)
+						}
+						for _, v := range all {
+							if in[v.class] && oks[i](v) {
+								want = append(want, v.id)
+							}
+						}
+						sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+						sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+						plan := optimizer.Render(db.LastPlan)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s: got ids %v, want %v\n%s", q, got, want, plan)
+						}
+						if p.ok == nil && !strings.Contains(plan, "INDSEL") {
+							t.Errorf("%s: not planned as an index selection:\n%s", q, plan)
+						}
+						intersected = intersected || strings.Contains(plan, "INTERSECT")
+					}
+				}
+			}
+			if !intersected {
+				t.Error("no query was planned as an index intersection")
+			}
+		})
+	}
 }

@@ -370,12 +370,20 @@ func (tx *Tx) Abort() error {
 	resurrected := make(map[storage.OID]storage.OID)
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		op := tx.undo[i]
+		oid := op.oid
+		if r, ok := resurrected[oid]; ok {
+			// The transaction deleted the object after this op; the undo
+			// of that delete resurrected it as r.
+			oid = r
+		}
 		var err error
 		switch op.kind {
 		case 'c':
-			err = tx.db.Cat.DeleteObject(op.oid)
+			err = tx.db.Cat.DeleteObject(oid)
+			// Created and deleted by this transaction: it never existed.
+			delete(resurrected, op.oid)
 		case 'u':
-			err = tx.db.Cat.UpdateObject(op.oid, op.old)
+			err = tx.db.Cat.UpdateObject(oid, op.old)
 		case 'd':
 			// The original OID cannot be resurrected (slots are reused);
 			// reinsert the value as a new object of the same class.

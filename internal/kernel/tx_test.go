@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"mood/internal/lock"
 	"mood/internal/object"
 	"mood/internal/storage"
+	"mood/internal/vehicledb"
 )
 
 func employee(name string, ssno int32) object.Value {
@@ -119,6 +121,61 @@ func TestTxAbortUndoesEverything(t *testing.T) {
 	})
 	if !found {
 		t.Error("deleted object not reinserted on abort")
+	}
+}
+
+// TestTxAbortAfterDeleteOfOwnWrite: a transaction that creates or updates
+// an object and then deletes it aborts cleanly. The delete's undo
+// resurrects the object under a new OID (on two shards often in the other
+// shard), so the undo of the earlier create or update must act on that OID.
+func TestTxAbortAfterDeleteOfOwnWrite(t *testing.T) {
+	db := openVehicles(t, 2, vehicledb.Config{
+		Vehicles: 4, DriveTrains: 2, Engines: 2, Companies: 4, Employees: 4, Seed: 1,
+	})
+	want := map[string]bool{}
+	for _, oid := range liveOIDs(t, db, "Employee") {
+		v, _, err := db.Cat.GetObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v.String()] = true
+	}
+	for round := 0; round < 4; round++ {
+		tx := db.Begin()
+		ghost, err := tx.Create("Employee", employee("ghost", int32(100+round)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete(ghost); err != nil {
+			t.Fatal(err)
+		}
+		kept := liveOIDs(t, db, "Employee")[round]
+		v, _, err := tx.Get(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = v.Clone()
+		v.SetField("name", object.NewString("mangled"))
+		if err := tx.Update(kept, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete(kept); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got := map[string]bool{}
+		for _, oid := range liveOIDs(t, db, "Employee") {
+			v, _, err := db.Cat.GetObject(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[v.String()] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: employees after abort %v, want %v", round, got, want)
+		}
 	}
 }
 

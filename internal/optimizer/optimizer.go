@@ -300,7 +300,7 @@ func (o *Optimizer) basePlan(fi sql.FromItem, imms []ImmSelInfo, others []OtherS
 			im := indexed[i]
 			selCard *= im.Selectivity
 			inputs = append(inputs, &IndSelPlan{
-				Class: fi.Class, Var: fi.Var, Index: im.Index,
+				Class: fi.Class, Var: fi.Var, Every: fi.Every, Index: im.Index,
 				Pred: algebra.SimplePredicate{
 					Attribute: im.Simple.Path[0], Op: im.Op,
 					Constant: im.Constant, Constant2: im.Constant2, Between: im.Between,

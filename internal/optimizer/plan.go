@@ -72,6 +72,11 @@ func (p *SelectPlan) render(sb *strings.Builder, indent string) {
 type IndSelPlan struct {
 	Class string
 	Var   string
+	// Every is the FROM clause's EVERY: the variable ranges over Class's
+	// IS-A closure, not only its direct extent. An index holds its class's
+	// whole closure, so the executor keeps only the candidates of the
+	// classes the variable ranges over.
+	Every bool
 	Index *catalog.Index
 	Pred  algebra.SimplePredicate
 	// ConstParam/Const2Param are the plan-cache parameter indices of
