@@ -50,18 +50,20 @@
 #                        replay; rows/fingerprints/reads deterministic,
 #                        wall-clock and speedup columns machine-local; the
 #                        sweep enforces its >=5x floor itself)
-#   make fuzz-expr       bounded 30s fuzz of expr.Compile against the
-#                        interpreter (corpus seeds under
-#                        internal/expr/testdata/fuzz)
+#   make fuzz            bounded fuzzing, 15s per target: expr.Compile
+#                        against the interpreter (FuzzCompile) and the
+#                        record decoders against each other (FuzzDecode);
+#                        corpus seeds under internal/expr/testdata/fuzz and
+#                        internal/object/testdata/fuzz
 #   make ci              everything a pre-merge check runs
 
 GO ?= go
 CRASHTEST_ITERS ?= 120
-FUZZ_EXPR_TIME ?= 30s
+FUZZ_TIME ?= 15s
 
 .PHONY: build test race vet crashtest bench-baseline bench-parallel \
 	bench-exec bench-cache bench-vector bench-shard bench-cluster \
-	bench-commit bench-join fuzz-expr ci
+	bench-commit bench-join fuzz ci
 
 build:
 	$(GO) build ./...
@@ -113,7 +115,8 @@ bench-commit:
 bench-join:
 	$(GO) run ./cmd/moodbench -join-json BENCH_join.json
 
-fuzz-expr:
-	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZ_EXPR_TIME) -run '^FuzzCompile$$' ./internal/expr
+fuzz:
+	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZ_TIME) -run '^FuzzCompile$$' ./internal/expr
+	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZ_TIME) -run '^FuzzDecode$$' ./internal/object
 
-ci: build vet test race fuzz-expr bench-vector bench-shard bench-cluster bench-commit bench-join crashtest
+ci: build vet test race fuzz bench-vector bench-shard bench-cluster bench-commit bench-join crashtest

@@ -28,6 +28,16 @@ func decodeObject(data []byte) (int, object.Value, error) {
 	return int(id), v, err
 }
 
+// objectBody strips the class id off a stored object, leaving its encoded
+// value.
+func objectBody(data []byte) ([]byte, error) {
+	_, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, fmt.Errorf("catalog: corrupt object header")
+	}
+	return data[n:], nil
+}
+
 // CreateObject inserts a new instance of the class into its extent,
 // type-checking it against the class's full (inherited) attribute set, and
 // maintains every index on the class. It returns the object identifier.

@@ -34,7 +34,7 @@ type ExtentCursor struct {
 	opened  bool
 	done    bool
 	closed  bool
-	filter  func(oid storage.OID, v *object.Value) (bool, error)
+	filter  ScanFilter
 	scratch pageScanScratch
 
 	// Per-class rotation state: the extent being scanned, each part's next
@@ -54,31 +54,55 @@ type scanned struct {
 	val object.Value
 }
 
+// ScanFilter is a predicate pushed into an extent scan's page loop. The
+// zero ScanFilter keeps every object.
+type ScanFilter struct {
+	// Keep decides whether an object survives. v is read-only, may alias
+	// the object cache or a scan buffer, and is valid only during the call.
+	Keep func(oid storage.OID, v *object.Value) (bool, error)
+	// Attrs, when non-empty, names every top-level attribute Keep reads:
+	// the set expr.SelfAttrs reports for a compiled predicate. The scan
+	// then decodes on qualify: Keep runs on a cache-miss record decoded
+	// only as far as these attributes (object.UnmarshalFields), and only a
+	// record that passes is unmarshalled in full. Empty Attrs means Keep
+	// may read anything, and every record is unmarshalled before Keep runs.
+	Attrs []string
+}
+
 // pageScanScratch holds the reusable per-page buffers of a batched extent
 // scan. The zero value is ready to use; the slices grow to one page's
 // record count and are reused for every subsequent page.
 type pageScanScratch struct {
 	recs []storage.ScanRecord // zero-copy record batch (aliases the frame)
 	oids []storage.OID
-	vals []*object.Value // cache-hit pointers; nil marks a decode
-	dec  []object.Value  // decoded cache misses, in record order
+	vals []*object.Value // cache-hit pointers; nil marks a cache miss
+	raw  []byte          // the cache misses' record bytes, copied out under the store lock
+	ends []int           // end offset in raw of each cache miss, in record order
+	part object.Value    // the partial tuple Keep checks before a full decode
+	obj  object.Value    // the fully decoded object handed to Keep and emit
+
+	// decoded counts the records this scratch has unmarshalled in full.
+	decoded int64
 }
 
 // scanPageBatched reads one page of one part of the extent and emits its
-// surviving objects: inside the store lock it probes the object cache for
+// surviving objects. Inside the store lock it probes the object cache for
 // the whole page in one batched lookup (one shard lock per page, not per
-// object) and decodes only the misses; the filter and emit callbacks then
-// run OUTSIDE the store lock on cache- or scratch-owned values, so a filter
-// that resolves references may safely re-enter the store. Cache hits save
-// only the decode, never the page read — read patterns are identical with
-// and without the cache — and the promotion-free batch probe keeps one scan
-// pass from churning the replacement lists. The object pointers handed to
-// filter and emit are read-only and valid only until the next call with the
-// same scratch. Returns the next page in the part's chain (0 at the end).
+// object) and copies out the record bytes of the misses; nothing is decoded
+// and no filter runs under the lock, so a filter that resolves references
+// may safely re-enter the store. After the lock is released each object is
+// checked in record order: a cache hit against the cached value, a miss
+// against its partial tuple when f.Attrs is set (decode on qualify) or else
+// against its full decode; only misses that pass, or all of them without
+// Attrs, are unmarshalled. Cache hits save only the decode, never the page
+// read — read patterns are identical with and without the cache — and the
+// promotion-free batch probe keeps one scan pass from churning the
+// replacement lists. The object pointers handed to f.Keep and emit are
+// read-only and valid only until the next call with the same scratch.
+// Returns the next page in the part's chain (0 at the end).
 func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageID, readahead bool, sc *pageScanScratch,
-	filter func(oid storage.OID, v *object.Value) (bool, error),
-	emit func(oid storage.OID, v *object.Value)) (storage.PageID, error) {
-	sc.oids, sc.vals, sc.dec = sc.oids[:0], sc.vals[:0], sc.dec[:0]
+	f ScanFilter, emit func(oid storage.OID, v *object.Value)) (storage.PageID, error) {
+	sc.oids, sc.vals, sc.raw, sc.ends = sc.oids[:0], sc.vals[:0], sc.raw[:0], sc.ends[:0]
 	next, recs, err := c.store.ScanPartRecs(e, part, pid, readahead, sc.recs, func(batch []storage.ScanRecord) error {
 		n0 := len(sc.oids)
 		for i := range batch {
@@ -89,14 +113,10 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 			c.ocache.GetScanBatch(sc.oids[n0:], sc.vals[n0:])
 		}
 		for i := range batch {
-			if sc.vals[n0+i] != nil {
-				continue
+			if sc.vals[n0+i] == nil {
+				sc.raw = append(sc.raw, batch[i].Data...)
+				sc.ends = append(sc.ends, len(sc.raw))
 			}
-			_, v, err := decodeObject(batch[i].Data)
-			if err != nil {
-				return err
-			}
-			sc.dec = append(sc.dec, v)
 		}
 		return nil
 	})
@@ -104,14 +124,39 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 		return 0, err
 	}
 	sc.recs = recs
-	di := 0
+	start, mi := 0, 0
 	for i, v := range sc.vals {
+		oid := sc.oids[i]
+		checked := false // f.Keep already passed this object
 		if v == nil {
-			v = &sc.dec[di]
-			di++
+			rec := sc.raw[start:sc.ends[mi]]
+			start = sc.ends[mi]
+			mi++
+			body, err := objectBody(rec)
+			if err != nil {
+				return 0, err
+			}
+			if f.Keep != nil && len(f.Attrs) > 0 {
+				if err := object.UnmarshalFields(body, f.Attrs, &sc.part); err != nil {
+					return 0, err
+				}
+				keep, err := f.Keep(oid, &sc.part)
+				if err != nil {
+					return 0, err
+				}
+				if !keep {
+					continue
+				}
+				checked = true
+			}
+			if sc.obj, err = object.Unmarshal(body); err != nil {
+				return 0, err
+			}
+			sc.decoded++
+			v = &sc.obj
 		}
-		if filter != nil {
-			keep, err := filter(sc.oids[i], v)
+		if f.Keep != nil && !checked {
+			keep, err := f.Keep(oid, v)
 			if err != nil {
 				return 0, err
 			}
@@ -119,7 +164,7 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 				continue
 			}
 		}
-		emit(sc.oids[i], v)
+		emit(oid, v)
 	}
 	return next, nil
 }
@@ -268,15 +313,16 @@ func (c *Catalog) PreloadMorsel(p *storage.Preload, m *ExtentMorsel) error {
 // call from concurrent worker goroutines: page reads go through the owning
 // shard's store lock and buffer pool.
 func (c *Catalog) ReadMorsel(m *ExtentMorsel) ([]ScannedObject, error) {
-	return c.ReadMorselFiltered(m, nil)
+	objs, _, err := c.ReadMorselFiltered(m, ScanFilter{})
+	return objs, err
 }
 
 // ReadMorselFiltered is ReadMorsel with a predicate pushed into the
-// page-decode loop, mirroring ExtentCursor.SetFilter: the filter sees each
-// object in place (v is read-only and may alias the object cache or the
-// decode buffer) and rejected objects are never copied into the result.
-// A nil filter keeps everything. Page reads are identical either way.
-func (c *Catalog) ReadMorselFiltered(m *ExtentMorsel, filter func(oid storage.OID, v *object.Value) (bool, error)) ([]ScannedObject, error) {
+// page-decode loop, mirroring ExtentCursor.SetFilter: rejected objects are
+// never copied into the result, nor unmarshalled when f.Attrs names what
+// the filter reads. decoded is the number of records unmarshalled. The
+// zero filter keeps everything. Page reads are identical either way.
+func (c *Catalog) ReadMorselFiltered(m *ExtentMorsel, f ScanFilter) (objs []ScannedObject, decoded int64, err error) {
 	var out []ScannedObject
 	// Readahead: request the whole morsel's page set up front, so loading
 	// page i+1 overlaps decoding page i (no-op without a prefetcher).
@@ -289,15 +335,15 @@ func (c *Catalog) ReadMorselFiltered(m *ExtentMorsel, filter func(oid storage.OI
 		// off because the whole morsel was requested above. Cache inserts are
 		// skipped on purpose: they would need a BeginFetch token predating
 		// the page read.
-		_, err := c.scanPageBatched(m.ext, m.Part, pid, false, &sc, filter,
+		_, err := c.scanPageBatched(m.ext, m.Part, pid, false, &sc, f,
 			func(oid storage.OID, v *object.Value) {
 				out = append(out, ScannedObject{OID: oid, Val: *v})
 			})
 		if err != nil {
-			return nil, err
+			return nil, sc.decoded, err
 		}
 	}
-	return out, nil
+	return out, sc.decoded, nil
 }
 
 // Next returns the next object of the scan; ok is false when the scan is
@@ -325,14 +371,19 @@ func (it *ExtentCursor) Next() (storage.OID, object.Value, bool, error) {
 }
 
 // SetFilter pushes a predicate into the page-decode loop: it is evaluated
-// against each scanned object in place (v aliases the decode buffer and is
-// read-only), and rejected objects are never buffered or surfaced by
-// Next/NextRef. Page reads are unchanged — the filter only decides what
-// survives the page, which is how the fused scan-selection avoids a copy
-// per rejected object. An error from the filter aborts the scan.
-func (it *ExtentCursor) SetFilter(f func(oid storage.OID, v *object.Value) (bool, error)) {
+// against each scanned object in place, and rejected objects are never
+// buffered or surfaced by Next/NextRef — nor unmarshalled, when f.Attrs
+// names what the filter reads (see ScanFilter). Page reads are unchanged:
+// the filter only decides what survives the page, which is how the fused
+// scan-selection avoids a copy per rejected object. An error from the
+// filter aborts the scan.
+func (it *ExtentCursor) SetFilter(f ScanFilter) {
 	it.filter = f
 }
+
+// Decoded returns the number of records the cursor has unmarshalled so
+// far; Close keeps it.
+func (it *ExtentCursor) Decoded() int64 { return it.scratch.decoded }
 
 // NextRef is Next without the 120-byte value copy: the returned pointer
 // aliases the cursor's internal page buffer and is valid only until the
@@ -426,11 +477,11 @@ func (it *ExtentCursor) fill() error {
 			it.ext = nil
 			continue
 		}
-		// Batched zero-copy page scan: one cache probe and one decode batch
-		// per page, the filter running outside the store lock, and the next
-		// page's load requested before decoding starts (a no-op without a
-		// prefetcher). A rejected object is never copied — only survivors
-		// land in the buffer.
+		// Batched page scan: one cache probe and one copy of the misses'
+		// bytes per page, decoding and the filter running outside the store
+		// lock, and the next page's load requested before decoding starts
+		// (a no-op without a prefetcher). A rejected object is never copied
+		// — only survivors land in the buffer.
 		next, err := it.cat.scanPageBatched(it.ext, part, pid, true, &it.scratch, it.filter,
 			func(oid storage.OID, v *object.Value) {
 				it.buf = append(it.buf, scanned{oid: oid, val: *v})

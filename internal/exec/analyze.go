@@ -138,6 +138,12 @@ type OpReport struct {
 	CumMisses      int64
 	SelfPrefetched int64
 	CumPrefetched  int64
+	// Decoded counts the records an extent scan unmarshalled in full:
+	// cache misses that passed its compiled predicate, or every cache miss
+	// when the predicate could not be checked before decoding. DecodedSet
+	// marks the scans that report it.
+	DecodedSet bool
+	Decoded    int64
 	// Clustering-tracer activity inside this operator's calls: references
 	// resolved through batched fetches and the distinct (post-forwarding)
 	// pages they landed on — pages/refs is the operator's measured locality.
@@ -269,6 +275,13 @@ type predicateCompiled interface {
 	compiledPredicate() (active, full bool)
 }
 
+// decodeCounter is implemented by the extent scan, which counts the records
+// it unmarshals (object.Unmarshals is process-wide, so a delta of it would
+// mix in concurrent queries and the predicate's own dereferences).
+type decodeCounter interface {
+	decodedRecords() int64
+}
+
 // accessPather is implemented by the join operators; the returned tag names
 // the physical access path in the EXPLAIN ANALYZE report.
 type accessPather interface {
@@ -303,6 +316,9 @@ func buildReport(c *compiled) *OpReport {
 	}
 	if ap, ok := raw.(accessPather); ok {
 		r.Access = ap.accessPath()
+	}
+	if dc, ok := raw.(decodeCounter); ok {
+		r.DecodedSet, r.Decoded = true, dc.decodedRecords()
 	}
 	var kidPages, kidHits, kidMisses, kidPrefetched, kidCRefs, kidCPages int64
 	var kidTime time.Duration
@@ -377,6 +393,9 @@ func renderReport(sb *strings.Builder, r *OpReport, indent string, cacheOn, pref
 	}
 	if cacheOn {
 		extra += fmt.Sprintf(" cache=%d/%d", r.SelfHits, r.SelfMisses)
+	}
+	if r.DecodedSet {
+		extra += fmt.Sprintf(" decoded=%d", r.Decoded)
 	}
 	if prefetchOn {
 		extra += fmt.Sprintf(" prefetched=%d", r.SelfPrefetched)

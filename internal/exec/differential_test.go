@@ -31,7 +31,9 @@ import (
 // does not compile: predicates using it keep the streaming path's
 // interpreted-expression fallback under test. Halfway through, a
 // decoded-object cache is switched on underneath all of them, so the
-// second half of the trials covers the cached read path too.
+// second half of the trials covers the cached read path too. Every
+// predicate that compiles is also run as a fused extent scan with and
+// without decode on qualify (checkDecodeOnQualify).
 func TestRandomQueriesDifferential(t *testing.T) {
 	f := defaultFixture(t)
 	rng := rand.New(rand.NewSource(testutil.Seed(t, 20240705)))
@@ -141,7 +143,8 @@ func TestRandomQueriesDifferential(t *testing.T) {
 	}
 
 	resolver := f.db.Cat.Resolver()
-	backward := 0 // trials planned as an index selection probed through the join index
+	backward := 0  // trials planned as an index selection probed through the join index
+	qualified := 0 // trials whose fused scan decoded on qualify
 	for trial := 0; trial < 60; trial++ {
 		if trial == 30 {
 			// Second half: identical trials over the decoded-object cache.
@@ -151,6 +154,9 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			f.db.Cat.Store().SetInvalidator(oc)
 		}
 		pred := build(3)
+		if checkDecodeOnQualify(t, f, fmt.Sprintf("trial %d: %s", trial, pred), pred, trial < 30) {
+			qualified++
+		}
 		q := &sql.Select{
 			Projs: []sql.ProjItem{{Expr: &expr.Var{Name: "v"}}},
 			From:  []sql.FromItem{{Class: "Vehicle", Var: "v"}},
@@ -224,4 +230,104 @@ func TestRandomQueriesDifferential(t *testing.T) {
 	if backward == 0 {
 		t.Error("no trial planned an index-selected path segment through the join index")
 	}
+	if qualified == 0 {
+		t.Error("no trial's fused scan decoded on qualify")
+	}
+}
+
+// checkDecodeOnQualify runs SELECT(BIND(Vehicle, v), pred) as a fused
+// extent scan twice from a cold buffer pool: with the attribute set the
+// query registry reports, so cache misses are checked on their partial
+// tuple and only those that pass are unmarshalled, and without it, so every
+// miss is unmarshalled first. Both the serial cursor and the exchange's
+// morsel tasks must emit the same objects in the same order for the same
+// simulated page reads, and decode on qualify may only lower the decode
+// count; with the cache off it unmarshals exactly the objects that pass.
+// It reports whether the predicate had an attribute set; one that does not
+// compile is left to the other legs.
+func checkDecodeOnQualify(t *testing.T, f *fixture, label string, pred expr.Expr, cacheOff bool) bool {
+	t.Helper()
+	bind := &optimizer.BindPlan{Class: "Vehicle", Var: "v", Every: true}
+	op := f.ex.scanOp(bind, pred)
+	if op.predFn == nil {
+		return false
+	}
+	full := f.ex.scanOp(bind, pred)
+	full.attrs = nil
+	for _, exchange := range []bool{false, true} {
+		got, gotReads, gotDecoded := drainScan(t, f, op, exchange)
+		want, wantReads, wantDecoded := drainScan(t, f, full, exchange)
+		leg := fmt.Sprintf("%s (exchange=%v)", label, exchange)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: decode on qualify emitted %d objects, full decode %d, or in another order", leg, len(got), len(want))
+		}
+		if gotReads != wantReads {
+			t.Fatalf("%s: decode on qualify read %d pages, full decode %d", leg, gotReads, wantReads)
+		}
+		if gotDecoded > wantDecoded || gotDecoded > int64(len(got)) {
+			t.Fatalf("%s: decode on qualify unmarshalled %d records for %d rows (full decode %d)",
+				leg, gotDecoded, len(got), wantDecoded)
+		}
+		if cacheOff && op.attrs != nil && gotDecoded != int64(len(got)) {
+			t.Fatalf("%s: cache off, decode on qualify unmarshalled %d records for %d rows", leg, gotDecoded, len(got))
+		}
+	}
+	return op.attrs != nil
+}
+
+// drainScan evicts the buffer pool, resets the object cache (when on) to
+// hold every third Vehicle, and runs op to the end, through its cursor or
+// through its exchange tasks in Seq order, returning the emitted OIDs, the
+// simulated page reads and the records op unmarshalled.
+func drainScan(t *testing.T, f *fixture, op *scanSelectOp, exchange bool) (oids []storage.OID, reads, decoded int64) {
+	t.Helper()
+	if oc := f.db.Cat.ObjectCache(); oc != nil {
+		oc.Reset()
+		for i := 0; i < len(f.db.Vehicles); i += 3 {
+			if _, _, err := f.db.Cat.GetObject(f.db.Vehicles[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	d0, r0 := op.decodedRecords(), f.pool.Disk().Stats().Reads()
+	if exchange {
+		ts, err := op.tasks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := f.ex.Alg.NewRowEvaluator()
+		for task := 0; task < ts.n; task++ {
+			rows, _, err := ts.run(re, task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				oids = append(oids, r.Vars["v"].OID)
+			}
+		}
+	} else {
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		b := newRowBatch(64)
+		for {
+			n, err := op.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			for _, r := range b.Rows[:n] {
+				oids = append(oids, r.Vars["v"].OID)
+			}
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return oids, f.pool.Disk().Stats().Reads() - r0, op.decodedRecords() - d0
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"mood/internal/algebra"
 	"mood/internal/catalog"
@@ -350,7 +351,7 @@ func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr) *scanSelectOp 
 		minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0, pred: pred,
 	}
 	if pred != nil {
-		if op.predFn, _ = e.queryFuncs().Predicate(bp.Var, pred); op.predFn == nil {
+		if op.predFn, op.attrs = e.queryFuncs().Predicate(bp.Var, pred); op.predFn == nil {
 			op.re = e.Alg.NewRowEvaluator()
 		}
 	}
@@ -364,8 +365,9 @@ func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr) *scanSelectOp 
 // neither a Vars map allocation nor an environment bind. When the predicate
 // lowers to self mode (compiled through the Function Manager's query
 // registry) the per-object check is a direct closure call pushed into the
-// cursor; otherwise (method calls) the row is built and the predicate
-// interpreted.
+// cursor, and the cursor decodes in full only the objects it passes (see
+// catalog.ScanFilter); otherwise (method calls) the row is built and the
+// predicate interpreted.
 type scanSelectOp struct {
 	alg     *algebra.Algebra
 	class   string
@@ -374,8 +376,10 @@ type scanSelectOp struct {
 	closure bool
 	pred    expr.Expr   // nil for a bare BIND
 	predFn  expr.PredFn // self-mode compiled; nil → interpret through re
+	attrs   []string    // the attributes predFn reads; nil → decode every object
 	re      *algebra.RowEvaluator
 	cur     *catalog.ExtentCursor
+	decoded atomic.Int64 // records unmarshalled by earlier cursors and by tasks
 }
 
 func (o *scanSelectOp) Open() error {
@@ -383,23 +387,30 @@ func (o *scanSelectOp) Open() error {
 	if err != nil {
 		return err
 	}
+	if o.cur != nil {
+		o.decoded.Add(o.cur.Decoded())
+	}
 	o.cur = cur
 	cur.SetFilter(o.filter())
 	return nil
 }
 
 // filter is the compiled predicate in the form the extent readers push into
-// their page-decode loops: rejected objects are filtered in place and never
-// buffered, so the fused operator pays nothing per non-matching object
-// beyond the predicate call itself. Page reads are unchanged. nil when
-// there is no compiled predicate.
-func (o *scanSelectOp) filter() func(storage.OID, *object.Value) (bool, error) {
+// their page-decode loops: rejected objects are filtered in place, never
+// buffered and, when the predicate's attribute set is known, never
+// unmarshalled, so the fused operator pays little per non-matching object
+// beyond the predicate call itself. Page reads are unchanged. The zero
+// filter when there is no compiled predicate.
+func (o *scanSelectOp) filter() catalog.ScanFilter {
 	if o.predFn == nil {
-		return nil
+		return catalog.ScanFilter{}
 	}
 	resolve := o.alg.Cat.Resolver()
-	return func(oid storage.OID, v *object.Value) (bool, error) {
-		return o.predFn(v, oid, resolve)
+	return catalog.ScanFilter{
+		Keep: func(oid storage.OID, v *object.Value) (bool, error) {
+			return o.predFn(v, oid, resolve)
+		},
+		Attrs: o.attrs,
 	}
 }
 
@@ -450,7 +461,8 @@ func (o *scanSelectOp) tasks() (taskSet, error) {
 		n:       len(morsels),
 		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadMorsel(p, &morsels[t]) },
 		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
-			objs, err := o.alg.Cat.ReadMorselFiltered(&morsels[t], filter)
+			objs, decoded, err := o.alg.Cat.ReadMorselFiltered(&morsels[t], filter)
+			o.decoded.Add(decoded)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -478,6 +490,15 @@ func (o *scanSelectOp) Close() error {
 
 func (o *scanSelectOp) compiledPredicate() (active, full bool) {
 	return o.pred != nil, o.predFn != nil
+}
+
+// decodedRecords is the number of records the scan unmarshalled.
+func (o *scanSelectOp) decodedRecords() int64 {
+	n := o.decoded.Load()
+	if o.cur != nil {
+		n += o.cur.Decoded()
+	}
+	return n
 }
 
 // withCandidatesOnly is implemented by operators that can restrict

@@ -265,7 +265,8 @@ func measureVectorEntry(env *Env, p vectorPred, mode string) (VectorEntry, uint6
 		e.AllocsPerRow = round3(float64(ms.Mallocs-mallocs0) / float64(rows))
 		e.DecodesPerRow = round3(float64(um) / float64(rows))
 	}
-	_, e.Compiled = ex.Funcs.Predicate("c", p.pred)
+	pf, _ := ex.Funcs.Predicate("c", p.pred)
+	e.Compiled = pf != nil
 	return e, fp, nil
 }
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strings"
 
 	"mood/internal/object"
@@ -232,6 +233,53 @@ func CompilePredicate(e Expr, varName string) (PredFn, bool) {
 		}
 		return v.Bool(), nil
 	}, true
+}
+
+// SelfAttrs returns the top-level attributes of varName that a self-mode
+// predicate reads, in first-use order: the names of every Field whose base
+// is the bare variable. ok is false when the tree reads the variable in any
+// other way (bare, as in v = w, or as a method receiver), calls a method,
+// mentions another variable or holds a node outside the compilable subset:
+// such a predicate may need the whole object. When ok holds, a PredFn of
+// e gives the same answer over the object's tuple filtered to these
+// attributes as over the whole tuple (object.UnmarshalFields builds it),
+// which is what lets an extent scan decode only what the predicate reads.
+func SelfAttrs(e Expr, varName string) (attrs []string, ok bool) {
+	var walk func(e Expr) bool
+	walk = func(e Expr) bool {
+		switch n := e.(type) {
+		case *Const:
+			return true
+		case *Field:
+			if v, isVar := n.Base.(*Var); isVar {
+				if v.Name != varName {
+					return false
+				}
+				if !slices.Contains(attrs, n.Name) {
+					attrs = append(attrs, n.Name)
+				}
+				return true
+			}
+			return walk(n.Base)
+		case *Cmp:
+			return walk(n.L) && walk(n.R)
+		case *Arith:
+			return walk(n.L) && walk(n.R)
+		case *Logic:
+			return walk(n.L) && walk(n.R)
+		case *Between:
+			return walk(n.E) && walk(n.Lo) && walk(n.Hi)
+		case *Not:
+			return walk(n.E)
+		case *Neg:
+			return walk(n.E)
+		}
+		return false // Var used bare, Call, unknown nodes
+	}
+	if !walk(e) {
+		return nil, false
+	}
+	return attrs, true
 }
 
 // compileSelfPred lowers the hottest scan-predicate shape — a single

@@ -263,3 +263,35 @@ func TestCompiledErrorValuesUnwrap(t *testing.T) {
 		t.Fatalf("compiled type error = %v, want errors.Is ErrType", err)
 	}
 }
+
+// TestSelfAttrs: the attribute set names each top-level attribute a
+// predicate projects off the variable once, in first-use order, including
+// the first hop of a path; reading the variable bare, calling a method or
+// mentioning another variable yields no set.
+func TestSelfAttrs(t *testing.T) {
+	v := &Var{Name: "v"}
+	cases := []struct {
+		e    Expr
+		want []string
+		ok   bool
+	}{
+		{&Cmp{Op: OpEq, L: field(v, "name"), R: &Const{Val: object.NewString("BMW")}}, []string{"name"}, true},
+		{&Logic{Op: OpAnd,
+			L: &Cmp{Op: OpEq, L: field(v, "location"), R: &Const{Val: object.NewString("Tokyo")}},
+			R: &Cmp{Op: OpGt, L: field(v, "president", "age"), R: field(v, "location")}},
+			[]string{"location", "president"}, true},
+		{&Between{E: field(v, "weight"), Lo: &Const{Val: object.NewInt(1)}, Hi: &Neg{E: field(v, "ratio")}},
+			[]string{"weight", "ratio"}, true},
+		{&Not{E: &Cmp{Op: OpEq, L: &Const{Val: object.NewInt(1)}, R: &Const{Val: object.NewInt(1)}}}, nil, true},
+		{&Cmp{Op: OpEq, L: v, R: field(v, "ref")}, nil, false},
+		{&Cmp{Op: OpEq, L: field(&Var{Name: "w"}, "name"), R: field(v, "name")}, nil, false},
+		{&Cmp{Op: OpGt, L: &Call{Base: v, Method: "lbweight"}, R: &Const{Val: object.NewInt(1)}}, nil, false},
+		{&Cmp{Op: OpGt, L: field(&Call{Base: v, Method: "boss"}, "age"), R: &Const{Val: object.NewInt(1)}}, nil, false},
+	}
+	for _, c := range cases {
+		got, ok := SelfAttrs(c.e, "v")
+		if ok != c.ok || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("SelfAttrs(%s) = %q, %v; want %q, %v", c.e, got, ok, c.want, c.ok)
+		}
+	}
+}

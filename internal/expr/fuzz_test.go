@@ -11,13 +11,16 @@ import (
 // FuzzCompile decodes the fuzz input into a random expression tree and a
 // random self value, then holds all three evaluation paths equal on it:
 // the tree interpreter, the Compile/CompileBool closures, and (when the
-// tree lowers) the self-mode PredFn. Divergence in value, bool coercion,
-// or error string is a finding. The generator deliberately produces trees
+// tree lowers) the self-mode PredFn. A fourth leg covers the extent scan's
+// decode on qualify: when SelfAttrs accepts the tree, the compiled forms
+// over self's encoding decoded to just those attributes must agree with
+// them over self. Divergence in value, bool coercion, or error string is a
+// finding. The generator deliberately produces trees
 // over an unbound second variable, projections through nulls, missing
 // attributes, nil and dangling references, and operands of mismatched
 // types — the semantics the compiled closures must reproduce exactly.
 //
-// Run bounded via `make fuzz-expr`; the checked-in corpus under
+// Run bounded via `make fuzz`; the checked-in corpus under
 // testdata/fuzz/FuzzCompile seeds the interesting shapes.
 func FuzzCompile(f *testing.F) {
 	f.Add([]byte{})
@@ -60,11 +63,36 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("expr %s: interpreter bool (%v,%v), compiled (%v,%v)", e, wantB, wantBErr, gotB, gotBErr)
 		}
 
-		if pf, ok := CompilePredicate(e, "v"); ok {
-			selfB, selfErr := pf(&self, oid, resolve)
-			if !sameErr(wantBErr, selfErr) || wantB != selfB {
-				t.Fatalf("expr %s: interpreter bool (%v,%v), self mode (%v,%v)", e, wantB, wantBErr, selfB, selfErr)
-			}
+		pf, ok := CompilePredicate(e, "v")
+		if !ok {
+			return
+		}
+		selfB, selfErr := pf(&self, oid, resolve)
+		if !sameErr(wantBErr, selfErr) || wantB != selfB {
+			t.Fatalf("expr %s: interpreter bool (%v,%v), self mode (%v,%v)", e, wantB, wantBErr, selfB, selfErr)
+		}
+
+		attrs, ok := SelfAttrs(e, "v")
+		if !ok {
+			return
+		}
+		var part object.Value
+		if err := object.UnmarshalFields(object.Marshal(self), attrs, &part); err != nil {
+			t.Fatalf("expr %s: partial decode of self: %v", e, err)
+		}
+		partB, partErr := pf(&part, oid, resolve)
+		if !sameErr(selfErr, partErr) || selfB != partB {
+			t.Fatalf("expr %s over attrs %q: self mode (%v,%v), over the partial tuple (%v,%v)",
+				e, attrs, selfB, selfErr, partB, partErr)
+		}
+		partV, partVErr := fn(&Env{
+			Vars:    map[string]object.Value{"v": part},
+			OIDs:    map[string]storage.OID{"v": oid},
+			Resolve: resolve,
+		})
+		if !sameErr(wantErr, partVErr) || (wantErr == nil && !reflect.DeepEqual(wantV, partV)) {
+			t.Fatalf("expr %s over attrs %q: compiled (%v,%v), over the partial tuple (%v,%v)",
+				e, attrs, wantV, wantErr, partV, partVErr)
 		}
 	})
 }

@@ -219,9 +219,12 @@ func TestQueryRegistryBounded(t *testing.T) {
 	}
 	check := func(n int) {
 		t.Helper()
-		fn, ok := r.Predicate("v", eq(n))
-		if !ok {
+		fn, attrs := r.Predicate("v", eq(n))
+		if fn == nil {
 			t.Fatalf("v.weight = %d did not lower", n)
+		}
+		if len(attrs) != 1 || attrs[0] != "weight" {
+			t.Fatalf("v.weight = %d reads attributes %q, want [weight]", n, attrs)
 		}
 		for _, w := range []int{n, n + 1} {
 			v := object.NewTuple([]string{"weight"}, []object.Value{object.NewInt(int32(w))})

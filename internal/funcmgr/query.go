@@ -45,6 +45,7 @@ type queryFn struct {
 	boolFn expr.BoolFn
 	fn     expr.Fn
 	pred   expr.PredFn // non-nil when the self-mode specialization lowered
+	attrs  []string    // the attributes pred reads (expr.SelfAttrs); nil when it may read all
 	full   bool        // every node lowered (no interpreter subtrees)
 	loaded bool        // "loaded" on first resolution, as for shared objects
 }
@@ -68,7 +69,9 @@ func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
 			q.boolFn, q.full = expr.CompileBool(e)
 			q.fn, _ = expr.Compile(e)
 			if varName != "" {
-				q.pred, _ = expr.CompilePredicate(e, varName)
+				if q.pred, _ = expr.CompilePredicate(e, varName); q.pred != nil {
+					q.attrs, _ = expr.SelfAttrs(e, varName)
+				}
 			}
 			r.compilations++
 			if !q.full {
@@ -88,12 +91,16 @@ func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
 }
 
 // Predicate resolves the self-mode compiled form of a single-variable
-// predicate over varName. ok is false when the predicate does not lower to
+// predicate over varName. pred is nil when the predicate does not lower to
 // self mode (multi-variable, method call, or unknown node); callers fall
-// back to BoolFn or the interpreter.
-func (r *QueryRegistry) Predicate(varName string, e expr.Expr) (expr.PredFn, bool) {
+// back to BoolFn or the interpreter. attrs names the attributes of varName
+// pred reads (expr.SelfAttrs): an extent scan decodes only those into a
+// partial tuple, runs pred on it, and decodes in full only the objects that
+// pass. attrs is nil when pred is, when pred may read the whole object, or
+// when it reads no attribute at all; the scan then decodes every object.
+func (r *QueryRegistry) Predicate(varName string, e expr.Expr) (pred expr.PredFn, attrs []string) {
 	q := r.resolve("pred:"+varName+"\x00"+expr.Signature(e), varName, e)
-	return q.pred, q.pred != nil
+	return q.pred, q.attrs
 }
 
 // BoolFn resolves the environment-mode compiled predicate. The closure is

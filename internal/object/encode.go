@@ -128,7 +128,10 @@ func Decode(data []byte) (Value, []byte, error) {
 		data = data[sz:]
 		out := Value{Kind: kind}
 		if n > 0 {
-			out.Elems = make([]Value, 0, n)
+			// Every element takes at least one byte, so a count beyond the
+			// bytes left is corrupt; capping the pre-size keeps it from
+			// asking for an impossible allocation before the loop fails.
+			out.Elems = make([]Value, 0, min(n, uint64(len(data))))
 		}
 		for i := uint64(0); i < n; i++ {
 			var e Value
@@ -147,6 +150,12 @@ func Decode(data []byte) (Value, []byte, error) {
 		}
 		data = data[sz:]
 		out := Value{Kind: KindTuple}
+		if n > 0 {
+			// Every field takes at least two bytes (name length and kind):
+			// size the slices once, capped as for collections.
+			c := min(n, uint64(len(data)/2))
+			out.Names, out.Fields = make([]string, 0, c), make([]Value, 0, c)
+		}
 		for i := uint64(0); i < n; i++ {
 			nl, nsz := binary.Uvarint(data)
 			if nsz <= 0 || uint64(len(data)-nsz) < nl {
@@ -166,4 +175,144 @@ func Decode(data []byte) (Value, []byte, error) {
 		return out, data, nil
 	}
 	return Null, nil, fmt.Errorf("object: unknown kind byte %d", kind)
+}
+
+// Skip returns data with the encoded value at its front removed. It makes
+// the bounds checks Decode makes, fails on the same inputs and consumes the
+// same bytes, but builds no Value and allocates nothing on success.
+func Skip(data []byte) ([]byte, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("object: empty input")
+	}
+	kind := Kind(data[0])
+	data = data[1:]
+	switch kind {
+	case KindNull:
+		return data, nil
+	case KindInteger, KindLongInteger, KindChar:
+		_, sz := binary.Varint(data)
+		if sz <= 0 {
+			return nil, fmt.Errorf("object: bad varint for %s", kind)
+		}
+		return data[sz:], nil
+	case KindBoolean:
+		if len(data) < 1 {
+			return nil, fmt.Errorf("object: truncated boolean")
+		}
+		return data[1:], nil
+	case KindFloat:
+		if len(data) < 8 {
+			return nil, fmt.Errorf("object: truncated float")
+		}
+		return data[8:], nil
+	case KindString:
+		n, sz := binary.Uvarint(data)
+		if sz <= 0 || uint64(len(data)-sz) < n {
+			return nil, fmt.Errorf("object: truncated string")
+		}
+		return data[sz+int(n):], nil
+	case KindReference:
+		if len(data) < 8 {
+			return nil, fmt.Errorf("object: truncated reference")
+		}
+		return data[8:], nil
+	case KindSet, KindList:
+		n, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return nil, fmt.Errorf("object: bad collection count")
+		}
+		data = data[sz:]
+		for i := uint64(0); i < n; i++ {
+			var err error
+			if data, err = Skip(data); err != nil {
+				return nil, err
+			}
+		}
+		return data, nil
+	case KindTuple:
+		n, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return nil, fmt.Errorf("object: bad tuple count")
+		}
+		data = data[sz:]
+		for i := uint64(0); i < n; i++ {
+			nl, nsz := binary.Uvarint(data)
+			if nsz <= 0 || uint64(len(data)-nsz) < nl {
+				return nil, fmt.Errorf("object: truncated field name")
+			}
+			var err error
+			if data, err = Skip(data[nsz+int(nl):]); err != nil {
+				return nil, err
+			}
+		}
+		return data, nil
+	}
+	return nil, fmt.Errorf("object: unknown kind byte %d", kind)
+}
+
+// decodeFields is UnmarshalFields on the value at the front of data,
+// returning the bytes after it: it fails on the same inputs as Decode and
+// consumes the same bytes.
+func decodeFields(data []byte, names []string, dst *Value) ([]byte, error) {
+	if len(data) == 0 || Kind(data[0]) != KindTuple {
+		v, rest, err := Decode(data)
+		*dst = v
+		return rest, err
+	}
+	data = data[1:]
+	n, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return nil, fmt.Errorf("object: bad tuple count")
+	}
+	data = data[sz:]
+	*dst = Value{Kind: KindTuple, Names: dst.Names[:0], Fields: dst.Fields[:0]}
+	for i := uint64(0); i < n; i++ {
+		nl, nsz := binary.Uvarint(data)
+		if nsz <= 0 || uint64(len(data)-nsz) < nl {
+			return nil, fmt.Errorf("object: truncated field name")
+		}
+		name := data[nsz : nsz+int(nl)]
+		data = data[nsz+int(nl):]
+		want := -1
+		for j, w := range names {
+			if string(name) == w {
+				want = j
+				break
+			}
+		}
+		var err error
+		if want < 0 {
+			if data, err = Skip(data); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		var f Value
+		if f, data, err = Decode(data); err != nil {
+			return nil, err
+		}
+		dst.Names = append(dst.Names, names[want])
+		dst.Fields = append(dst.Fields, f)
+	}
+	return data, nil
+}
+
+// UnmarshalFields decodes data, which must contain exactly one encoded
+// value, keeping of a tuple only the top-level attributes named in names:
+// *dst becomes the tuple filtered to those attributes, in stored order and
+// duplicates included, so a first-occurrence lookup of a wanted name finds
+// the same value as in the whole tuple. Other attributes are stepped over
+// with Skip. dst's slices are reused and its names alias the names slice. A
+// value that is not a tuple has no attributes to filter and is decoded
+// whole. It fails on the same records as Unmarshal. It is not counted by Unmarshals:
+// that counter counts whole-object decodes.
+func UnmarshalFields(data []byte, names []string, dst *Value) error {
+	rest, err := decodeFields(data, names, dst)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("object: %d trailing bytes after value", len(rest))
+	}
+	return nil
 }
