@@ -51,9 +51,11 @@
 #                        wall-clock and speedup columns machine-local; the
 #                        sweep enforces its >=5x floor itself)
 #   make fuzz            bounded fuzzing, 15s per target: expr.Compile
-#                        against the interpreter (FuzzCompile) and the
-#                        record decoders against each other (FuzzDecode);
-#                        corpus seeds under internal/expr/testdata/fuzz and
+#                        against the interpreter (FuzzCompile), the
+#                        record decoders against each other (FuzzDecode)
+#                        and the slotted page against a map model
+#                        (FuzzPage); corpus seeds under
+#                        internal/expr/testdata/fuzz and
 #                        internal/object/testdata/fuzz
 #   make ci              everything a pre-merge check runs
 
@@ -118,5 +120,6 @@ bench-join:
 fuzz:
 	$(GO) test -fuzz FuzzCompile -fuzztime $(FUZZ_TIME) -run '^FuzzCompile$$' ./internal/expr
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZ_TIME) -run '^FuzzDecode$$' ./internal/object
+	$(GO) test -fuzz FuzzPage -fuzztime $(FUZZ_TIME) -run '^FuzzPage$$' ./internal/storage
 
 ci: build vet test race fuzz bench-vector bench-shard bench-cluster bench-commit bench-join crashtest

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"mood/internal/catalog"
+	"mood/internal/expr"
 	"mood/internal/object"
 	"mood/internal/storage"
 )
@@ -48,11 +49,9 @@ func (k Kind) String() string {
 
 // Bound is one object bound to a range variable: its identifier and, when
 // materialized, its value. Set/List collections may carry OIDs only; Deref
-// materializes values on demand.
-type Bound struct {
-	OID storage.OID
-	Val object.Value
-}
+// materializes values on demand. It is the expression package's Binding,
+// so a streaming row vector of Bounds is evaluated in place.
+type Bound = expr.Binding
 
 // Row is one element of a collection: a set of variable bindings. A simple
 // collection (one class extent bound to one variable) has a single binding;

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"mood/internal/catalog"
 	"mood/internal/expr"
@@ -20,9 +21,71 @@ import (
 // fresh Env (two maps) per row inside Select's loop; hoisting it here is
 // worth ~40% of Select's per-row cost on a vehicledb-sized extent (see
 // BenchmarkSelectPredicate).
+//
+// An evaluator made by NewSlotEvaluator binds row vectors instead of Rows:
+// the environment points at the row, so binding one costs no map writes.
 type RowEvaluator struct {
 	a   *Algebra
 	env *expr.Env
+
+	schema  []int   // slot mode: the slots the rows bind, ascending
+	scratch []Bound // slot mode: a row copy whose OID-only bindings are materialized
+	one     []Bound // slot mode: BindOne's row
+}
+
+// NewSlotEvaluator creates a reusable evaluator over row vectors whose
+// bindings sit in the slots that slots names — the layout the expressions
+// it runs were compiled against (expr.Compile).
+func (a *Algebra) NewSlotEvaluator(slots map[string]int) *RowEvaluator {
+	re := &RowEvaluator{
+		a:   a,
+		env: &expr.Env{Slots: slots, Resolve: a.Cat.Resolver(), Invoke: a.Invoke},
+	}
+	for _, s := range slots {
+		re.schema = append(re.schema, s)
+	}
+	slices.Sort(re.schema)
+	return re
+}
+
+// SlotEnv binds a row vector, valid until the next SlotEnv call. As for a
+// Row, every binding that carries only an OID is materialized first; the
+// row itself is never written, so such a row is evaluated from a copy.
+func (re *RowEvaluator) SlotEnv(row []Bound) (*expr.Env, error) {
+	src := row
+	for _, s := range re.schema {
+		if b := &src[s]; b.Val.IsNull() && !b.OID.IsNil() {
+			if len(re.scratch) == 0 || &src[0] != &re.scratch[0] {
+				re.scratch = append(re.scratch[:0], row...)
+				src = re.scratch
+			}
+			if err := re.a.MaterializeBound(&src[s]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	re.env.Row = src
+	return re.env, nil
+}
+
+// BindOne binds a row vector in which only slot is bound, to b — an
+// object's candidate row, checked before the operator builds the row it
+// emits. Valid until the next bind.
+func (re *RowEvaluator) BindOne(slot int, b Bound) (*expr.Env, error) {
+	if len(re.one) <= slot {
+		re.one = make([]Bound, slot+1)
+	}
+	re.one[slot] = b
+	return re.SlotEnv(re.one)
+}
+
+// EvalSlots evaluates a compiled predicate against a row vector.
+func (re *RowEvaluator) EvalSlots(row []Bound, fn expr.BoolFn) (bool, error) {
+	env, err := re.SlotEnv(row)
+	if err != nil {
+		return false, err
+	}
+	return fn(env)
 }
 
 // NewRowEvaluator creates a reusable per-operator evaluator.
@@ -63,34 +126,6 @@ func (re *RowEvaluator) EvalBool(row Row, p expr.Expr) (bool, error) {
 		return false, err
 	}
 	return expr.EvalBool(p, re.env)
-}
-
-// EvalPred evaluates a compiled predicate closure (expr.CompileBool) with
-// the row's bindings in scope — the vectorized executor's counterpart of
-// EvalBool for predicates that did not lower to self mode.
-func (re *RowEvaluator) EvalPred(row Row, fn expr.BoolFn) (bool, error) {
-	if err := re.bind(row); err != nil {
-		return false, err
-	}
-	return fn(re.env)
-}
-
-// Eval evaluates an expression with the row's bindings in scope.
-func (re *RowEvaluator) Eval(row Row, e expr.Expr) (object.Value, error) {
-	if err := re.bind(row); err != nil {
-		return object.Null, err
-	}
-	return e.Eval(re.env)
-}
-
-// Env exposes the evaluator's bound environment; valid until the next
-// EvalBool/Eval/Bind call. Callers that evaluate several expressions against
-// the same row bind once and evaluate through this.
-func (re *RowEvaluator) Env(row Row) (*expr.Env, error) {
-	if err := re.bind(row); err != nil {
-		return nil, err
-	}
-	return re.env, nil
 }
 
 // IndSelCandidates runs just the index probe of IndSel: the OIDs the index

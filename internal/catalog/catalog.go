@@ -81,6 +81,12 @@ type Class struct {
 	// DeleteObject on the class across its store change, statistics delta
 	// and counter move, and exclusively by ExcludeWriters.
 	writers sync.RWMutex
+
+	// names is the class's name table: the names of its full (inherited)
+	// attribute list, in the order objects are stored. Built on first use;
+	// a class's attributes never change after it is defined.
+	namesOnce sync.Once
+	names     []string
 }
 
 // Extent returns the class's default extent (nil for pure types).
@@ -338,6 +344,33 @@ func (c *Catalog) TypeName(id int) (string, error) {
 		return "", fmt.Errorf("%w: id %d", ErrNoSuchType, id)
 	}
 	return cl.Name, nil
+}
+
+// classByID returns the class or type with the given identifier.
+func (c *Catalog) classByID(id int) (*Class, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	cl, ok := c.byID[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: id %d", ErrNoSuchType, id)
+	}
+	return cl, nil
+}
+
+// nameTable returns the class's name table (Class.names), which stored
+// objects of the class decode against.
+func (c *Catalog) nameTable(cl *Class) []string {
+	cl.namesOnce.Do(func() {
+		attrs, err := c.AllAttributes(cl.Name)
+		if err != nil {
+			return // decoding then allocates every name
+		}
+		cl.names = make([]string, len(attrs))
+		for i, a := range attrs {
+			cl.names[i] = a.Name
+		}
+	})
+	return cl.names
 }
 
 // Supers returns the direct superclasses.

@@ -19,23 +19,29 @@ func encodeObject(classID int, v object.Value) []byte {
 	return object.Encode(buf, v)
 }
 
-func decodeObject(data []byte) (int, object.Value, error) {
-	id, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, object.Null, fmt.Errorf("catalog: corrupt object header")
+// decodeObject decodes a stored object against its class's name table and
+// returns the class with the value.
+func (c *Catalog) decodeObject(data []byte) (*Class, object.Value, error) {
+	id, body, err := objectBody(data)
+	if err != nil {
+		return nil, object.Null, err
 	}
-	v, err := object.Unmarshal(data[n:])
-	return int(id), v, err
+	cl, err := c.classByID(id)
+	if err != nil {
+		return nil, object.Null, err
+	}
+	v, err := object.UnmarshalNamed(body, c.nameTable(cl))
+	return cl, v, err
 }
 
-// objectBody strips the class id off a stored object, leaving its encoded
+// objectBody splits a stored object into its class id and its encoded
 // value.
-func objectBody(data []byte) ([]byte, error) {
-	_, n := binary.Uvarint(data)
+func objectBody(data []byte) (int, []byte, error) {
+	id, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("catalog: corrupt object header")
+		return 0, nil, fmt.Errorf("catalog: corrupt object header")
 	}
-	return data[n:], nil
+	return int(id), data[n:], nil
 }
 
 // CreateObject inserts a new instance of the class into its extent,
@@ -144,14 +150,11 @@ func (c *Catalog) GetObject(oid storage.OID) (object.Value, string, error) {
 	if err != nil {
 		return object.Null, "", err
 	}
-	id, v, err := decodeObject(data)
+	cl, v, err := c.decodeObject(data)
 	if err != nil {
 		return object.Null, "", err
 	}
-	name, err := c.TypeName(id)
-	if err != nil {
-		return object.Null, "", err
-	}
+	name := cl.Name
 	if c.ocache != nil {
 		c.ocache.Put(token, oid, v, name, len(data))
 	}
@@ -198,14 +201,11 @@ func (c *Catalog) GetObjects(oids []storage.OID) ([]object.Value, []string, erro
 		return nil, nil, err
 	}
 	for j, i := range missIdx {
-		id, v, err := decodeObject(datas[j])
+		cl, v, err := c.decodeObject(datas[j])
 		if err != nil {
 			return nil, nil, err
 		}
-		name, err := c.TypeName(id)
-		if err != nil {
-			return nil, nil, err
-		}
+		name := cl.Name
 		vals[i], names[i] = v, name
 		if c.ocache != nil {
 			c.ocache.Put(tokens[j], oids[i], v, name, len(datas[j]))
@@ -325,7 +325,7 @@ func (c *Catalog) ScanExtent(class string, fn func(storage.OID, object.Value) bo
 	}
 	var derr error
 	err = c.store.ScanExtent(cl.extent, func(oid storage.OID, data []byte) bool {
-		_, v, err := decodeObject(data)
+		_, v, err := c.decodeObject(data)
 		if err != nil {
 			derr = err
 			return false

@@ -81,6 +81,10 @@ type pageScanScratch struct {
 	part object.Value    // the partial tuple Keep checks before a full decode
 	obj  object.Value    // the fully decoded object handed to Keep and emit
 
+	// cls is the class of the last record decoded: its name table serves
+	// every later record of the same class without a catalog lookup.
+	cls *Class
+
 	// decoded counts the records this scratch has unmarshalled in full.
 	decoded int64
 }
@@ -132,7 +136,7 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 			rec := sc.raw[start:sc.ends[mi]]
 			start = sc.ends[mi]
 			mi++
-			body, err := objectBody(rec)
+			id, body, err := objectBody(rec)
 			if err != nil {
 				return 0, err
 			}
@@ -149,7 +153,7 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 				}
 				checked = true
 			}
-			if sc.obj, err = object.Unmarshal(body); err != nil {
+			if sc.obj, err = object.UnmarshalNamed(body, c.scanNames(sc, id)); err != nil {
 				return 0, err
 			}
 			sc.decoded++
@@ -167,6 +171,19 @@ func (c *Catalog) scanPageBatched(e *storage.Extent, part int, pid storage.PageI
 		emit(oid, v)
 	}
 	return next, nil
+}
+
+// scanNames is the name table of class id for a scan's decodes, nil when
+// the id names no class (the record then decodes as it would without one).
+func (c *Catalog) scanNames(sc *pageScanScratch, id int) []string {
+	if sc.cls == nil || sc.cls.ID != id {
+		cl, err := c.classByID(id)
+		if err != nil {
+			return nil
+		}
+		sc.cls = cl
+	}
+	return c.nameTable(sc.cls)
 }
 
 // ErrCursorClosed is returned by Next on a cursor whose Close has run.

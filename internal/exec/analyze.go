@@ -226,7 +226,7 @@ func (e *Executor) ExecuteAnalyzed(p optimizer.Plan) (*algebra.Collection, *Anal
 	if an.cpages == nil {
 		an.cpages = zero
 	}
-	root, err := e.compileNode(p, an)
+	root, err := e.compile(p, an)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -89,10 +89,10 @@ func operatorPlans(f *fixture, tokyo bool) map[string]optimizer.Plan {
 
 // drainBatches drives op through NextBatch until end of stream, returning
 // every batch size in order (the terminating 0 excluded).
-func drainBatches(t *testing.T, op Operator) []int {
+func drainBatches(t *testing.T, op testOp) []int {
 	t.Helper()
 	var sizes []int
-	b := newRowBatch(BatchCapacity)
+	b := op.batch(BatchCapacity)
 	for {
 		n, err := op.NextBatch(b)
 		if err != nil {
@@ -109,17 +109,26 @@ func drainBatches(t *testing.T, op Operator) []int {
 	}
 }
 
+// testOp is a compiled root operator driven by hand.
+type testOp struct {
+	Operator
+	c *compiled
+}
+
+// batch returns an n-row batch of the plan's row width.
+func (o testOp) batch(n int) *RowBatch { return newRowBatch(n, o.c.lay.Width()) }
+
 // openOp compiles a plan to its root operator and opens it.
-func openOp(t *testing.T, ex *Executor, p optimizer.Plan) Operator {
+func openOp(t *testing.T, ex *Executor, p optimizer.Plan) testOp {
 	t.Helper()
-	c, err := ex.compileNode(p, nil)
+	c, err := ex.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	return c.op
+	return testOp{c.op, c}
 }
 
 // TestBatchEmptyExtent: a scan of an empty extent ends immediately — one
@@ -230,7 +239,7 @@ func TestBatchFilteredNeverZeroMidStream(t *testing.T) {
 func TestBatchEarlyCloseReadCounts(t *testing.T) {
 	const n = 6 * BatchCapacity // a fifth of it (the Tokyo rows) still fills a batch
 	for _, name := range []string{"bind", "intersect", "forward", "backward", "cross", "union"} {
-		readsAfter := func(drive func(op Operator)) int64 {
+		readsAfter := func(drive func(op testOp)) int64 {
 			f := operatorFixture(t, n)
 			plans := operatorPlans(f, true)
 			plans["bind"] = &optimizer.BindPlan{Class: "Company", Var: "c"}
@@ -246,14 +255,14 @@ func TestBatchEarlyCloseReadCounts(t *testing.T) {
 			}
 			return d.Stats().Reads()
 		}
-		batchReads := readsAfter(func(op Operator) {
-			got, err := op.NextBatch(newRowBatch(BatchCapacity))
+		batchReads := readsAfter(func(op testOp) {
+			got, err := op.NextBatch(op.batch(BatchCapacity))
 			if err != nil || got != BatchCapacity {
 				t.Fatalf("%s: NextBatch = (%d, %v), want (%d, nil)", name, got, err, BatchCapacity)
 			}
 		})
-		rowReads := readsAfter(func(op Operator) {
-			b := newRowBatch(1)
+		rowReads := readsAfter(func(op testOp) {
+			b := op.batch(1)
 			for i := 0; i < BatchCapacity; i++ {
 				if got, err := op.NextBatch(b); err != nil || got != 1 {
 					t.Fatalf("%s: one-row NextBatch %d = (%d, %v)", name, i, got, err)
@@ -339,7 +348,7 @@ func TestParallelPartialBatchMerge(t *testing.T) {
 		})
 		var got []int64
 		var sizes []int
-		b := newRowBatch(BatchCapacity)
+		b := op.batch(BatchCapacity)
 		for {
 			k, err := op.NextBatch(b)
 			if err != nil {
@@ -349,8 +358,8 @@ func TestParallelPartialBatchMerge(t *testing.T) {
 				break
 			}
 			sizes = append(sizes, k)
-			for _, r := range b.Rows[:k] {
-				got = append(got, int64(r.Vars["c"].OID))
+			for i := 0; i < k; i++ {
+				got = append(got, int64(op.c.toRow(b.Row(i)).Vars["c"].OID))
 			}
 		}
 		if err := op.Close(); err != nil {

@@ -248,11 +248,11 @@ func TestRandomQueriesDifferential(t *testing.T) {
 func checkDecodeOnQualify(t *testing.T, f *fixture, label string, pred expr.Expr, cacheOff bool) bool {
 	t.Helper()
 	bind := &optimizer.BindPlan{Class: "Vehicle", Var: "v", Every: true}
-	op := f.ex.scanOp(bind, pred)
+	op := f.ex.scanOp(bind, pred, 0)
 	if op.predFn == nil {
 		return false
 	}
-	full := f.ex.scanOp(bind, pred)
+	full := f.ex.scanOp(bind, pred, 0)
 	full.attrs = nil
 	for _, exchange := range []bool{false, true} {
 		got, gotReads, gotDecoded := drainScan(t, f, op, exchange)
@@ -298,21 +298,21 @@ func drainScan(t *testing.T, f *fixture, op *scanSelectOp, exchange bool) (oids 
 		if err != nil {
 			t.Fatal(err)
 		}
-		re := f.ex.Alg.NewRowEvaluator()
+		re := op.evaluator()
 		for task := 0; task < ts.n; task++ {
-			rows, _, err := ts.run(re, task)
-			if err != nil {
+			rows := &RowBatch{width: 1}
+			if _, err := ts.run(re, task, rows); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range rows {
-				oids = append(oids, r.Vars["v"].OID)
+			for i := 0; i < rows.Len(); i++ {
+				oids = append(oids, rows.Row(i)[0].OID)
 			}
 		}
 	} else {
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
-		b := newRowBatch(64)
+		b := newRowBatch(64, 1)
 		for {
 			n, err := op.NextBatch(b)
 			if err != nil {
@@ -321,8 +321,8 @@ func drainScan(t *testing.T, f *fixture, op *scanSelectOp, exchange bool) (oids 
 			if n == 0 {
 				break
 			}
-			for _, r := range b.Rows[:n] {
-				oids = append(oids, r.Vars["v"].OID)
+			for i := 0; i < n; i++ {
+				oids = append(oids, b.Row(i)[0].OID)
 			}
 		}
 		if err := op.Close(); err != nil {

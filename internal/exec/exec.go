@@ -369,109 +369,156 @@ func (a *aggState) result() object.Value {
 // representative input row's bindings (so later ORDER BY on group keys
 // still resolves).
 func (e *Executor) group(in *algebra.Collection, by []sql.PathRef, having expr.Expr, projs []sql.ProjItem) (*algebra.Collection, error) {
+	out := &algebra.Collection{Kind: algebra.ExtentKind, Name: in.Name, Class: in.Class}
+	err := e.groupCore(len(in.Rows), func(i int) (*expr.Env, error) { return e.rowEnv(in.Rows[i]) },
+		by, having, projs, func(rep int, tuple object.Value) {
+			nr := algebra.Row{Vars: map[string]algebra.Bound{}}
+			for k, v := range in.Rows[rep].Vars {
+				nr.Vars[k] = v
+			}
+			nr.Vars[ResultVar] = algebra.Bound{Val: tuple}
+			out.Rows = append(out.Rows, nr)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// groupRows is group over a streaming input's drained rows: keys and
+// aggregates are read through the rows' slots, and each output row, packed
+// to outSlots, is its representative input row with the tuple in the
+// ResultVar slot.
+func (e *Executor) groupRows(in *compiled, outSlots []int, rows *packed, by []sql.PathRef, having expr.Expr, projs []sql.ProjItem) (*packed, error) {
+	at := make(map[string]int, len(rows.slots)) // variable → position in a packed row
+	for k, s := range rows.slots {
+		at[in.lay.Names[s]] = k
+	}
+	re := e.Alg.NewSlotEvaluator(at)
+	out := newPacked(outSlots)
+	res, _ := in.lay.Slot(ResultVar)
+	res = out.at(res)
+	err := e.groupCore(rows.Len(), func(i int) (*expr.Env, error) { return re.SlotEnv(rows.Row(i)) },
+		by, having, projs, func(rep int, tuple object.Value) {
+			row, src := out.add(), rows.Row(rep)
+			for k, s := range rows.slots {
+				row[out.at(s)] = src[k]
+			}
+			row[res] = algebra.Bound{Val: tuple}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// groupCore buckets n input rows on the GROUP BY keys in first-seen order,
+// aggregates each bucket, and hands emit each bucket's first row and its
+// tuple when HAVING holds. bind binds input row i; the environment it
+// returns is used before the next call.
+func (e *Executor) groupCore(n int, bind func(i int) (*expr.Env, error), by []sql.PathRef, having expr.Expr,
+	projs []sql.ProjItem, emit func(rep int, tuple object.Value)) error {
 	names := make([]string, len(projs))
 	for i, it := range projs {
 		names[i] = outName(it, i)
 	}
 	type bucket struct {
-		rep  algebra.Row
+		rep  int
 		aggs []*aggState
-		keys []object.Value
-		rows []algebra.Row
 	}
 	order := []string{}
 	buckets := map[string]*bucket{}
-	for _, row := range in.Rows {
-		env, err := e.rowEnv(row)
+	for i := 0; i < n; i++ {
+		env, err := bind(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		keyVals := make([]object.Value, len(by))
 		keyParts := make([]string, len(by))
-		for i, ref := range by {
+		for k, ref := range by {
 			v, err := refExpr(ref).Eval(env)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			keyVals[i] = v
-			keyParts[i] = v.String()
+			keyParts[k] = v.String()
 		}
 		key := strings.Join(keyParts, "\x00")
 		b, ok := buckets[key]
 		if !ok {
-			b = &bucket{rep: row, keys: keyVals, aggs: make([]*aggState, len(projs))}
-			for i, it := range projs {
-				b.aggs[i] = &aggState{kind: it.Agg}
+			b = &bucket{rep: i, aggs: make([]*aggState, len(projs))}
+			for k, it := range projs {
+				b.aggs[k] = &aggState{kind: it.Agg}
 			}
 			buckets[key] = b
 			order = append(order, key)
 		}
-		b.rows = append(b.rows, row)
-		for i, it := range projs {
+		for k, it := range projs {
 			if it.Agg == sql.AggNone {
 				continue
 			}
 			if it.Star {
-				b.aggs[i].count++
+				b.aggs[k].count++
 				continue
 			}
 			v, err := it.Expr.Eval(env)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			b.aggs[i].add(v)
+			b.aggs[k].add(v)
 		}
 	}
 
-	out := &algebra.Collection{Kind: algebra.ExtentKind, Name: in.Name, Class: in.Class}
 	for _, key := range order {
 		b := buckets[key]
-		env, err := e.rowEnv(b.rep)
+		env, err := bind(b.rep)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fields := make([]object.Value, len(projs))
 		for i, it := range projs {
 			if it.Agg == sql.AggNone {
 				v, err := it.Expr.Eval(env)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				fields[i] = v
 			} else {
 				fields[i] = b.aggs[i].result()
 			}
 		}
-		tuple := object.NewTuple(names, fields)
 		if having != nil {
-			henv := &expr.Env{
-				Vars:    map[string]object.Value{},
-				Resolve: e.Alg.Cat.Resolver(),
-				Invoke:  e.Alg.Invoke,
-			}
-			for k, v := range env.Vars {
-				henv.Vars[k] = v
-			}
-			// Aggregate aliases are visible to HAVING as variables.
-			for i, n := range names {
-				henv.Vars[n] = fields[i]
-			}
-			ok, err := expr.EvalBool(having, henv)
+			ok, err := expr.EvalBool(having, e.havingEnv(env, names, fields))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
 		}
-		nr := algebra.Row{Vars: map[string]algebra.Bound{}}
-		for k, v := range b.rep.Vars {
-			nr.Vars[k] = v
-		}
-		nr.Vars[ResultVar] = algebra.Bound{Val: tuple}
-		out.Rows = append(out.Rows, nr)
+		emit(b.rep, object.NewTuple(names, fields))
 	}
-	return out, nil
+	return nil
+}
+
+// havingEnv is HAVING's environment for one group: the representative
+// row's variables, then the aggregate aliases as variables over them.
+func (e *Executor) havingEnv(env *expr.Env, names []string, fields []object.Value) *expr.Env {
+	henv := &expr.Env{
+		Vars:    map[string]object.Value{},
+		Resolve: e.Alg.Cat.Resolver(),
+		Invoke:  e.Alg.Invoke,
+	}
+	for k, v := range env.Vars {
+		henv.Vars[k] = v
+	}
+	for k, s := range env.Slots {
+		if b := env.Row[s]; !b.Unbound() {
+			henv.Vars[k] = b.Val
+		}
+	}
+	for i, n := range names {
+		henv.Vars[n] = fields[i]
+	}
+	return henv
 }
 
 func refExpr(ref sql.PathRef) expr.Expr {
@@ -601,31 +648,34 @@ type Result struct {
 func Extract(c *algebra.Collection) *Result {
 	res := &Result{}
 	for _, row := range c.Rows {
-		if b, ok := row.Vars[ResultVar]; ok {
-			if len(res.Columns) == 0 {
-				res.Columns = append(res.Columns, b.Val.Names...)
-			}
-			res.Rows = append(res.Rows, append([]object.Value(nil), b.Val.Fields...))
-			// A single-column projection of a bare variable keeps its OID.
-			if len(b.Val.Fields) == 1 {
-				if pb, ok := row.Vars[c.Name]; ok && b.Val.Fields[0].Kind == object.KindTuple {
-					res.OIDs = append(res.OIDs, pb.OID)
-				} else {
-					res.OIDs = append(res.OIDs, storage.NilOID)
-				}
-			} else {
-				res.OIDs = append(res.OIDs, storage.NilOID)
-			}
-			continue
-		}
-		b := row.Vars[c.Name]
-		if len(res.Columns) == 0 {
-			res.Columns = []string{c.Name}
-		}
-		res.Rows = append(res.Rows, []object.Value{b.Val})
-		res.OIDs = append(res.OIDs, b.OID)
+		r, hasR := row.Vars[ResultVar]
+		pb, hasP := row.Vars[c.Name]
+		res.add(r, hasR, pb, hasP, c.Name)
 	}
 	return res
+}
+
+// add appends one row to the result: the projected tuple when the row has
+// one (r), otherwise the distinguished variable name's object (pb).
+func (res *Result) add(r algebra.Bound, hasR bool, pb algebra.Bound, hasP bool, name string) {
+	if hasR {
+		if len(res.Columns) == 0 {
+			res.Columns = append(res.Columns, r.Val.Names...)
+		}
+		res.Rows = append(res.Rows, append([]object.Value(nil), r.Val.Fields...))
+		// A single-column projection of a bare variable keeps its OID.
+		if len(r.Val.Fields) == 1 && hasP && r.Val.Fields[0].Kind == object.KindTuple {
+			res.OIDs = append(res.OIDs, pb.OID)
+		} else {
+			res.OIDs = append(res.OIDs, storage.NilOID)
+		}
+		return
+	}
+	if len(res.Columns) == 0 {
+		res.Columns = []string{name}
+	}
+	res.Rows = append(res.Rows, []object.Value{pb.Val})
+	res.OIDs = append(res.OIDs, pb.OID)
 }
 
 // String renders the result as a simple table.

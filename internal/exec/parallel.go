@@ -58,11 +58,13 @@ type WorkerStat struct {
 // tasks, preload pinning one task's pages into a Preload (see claim), and
 // run executing one task with the calling worker's own row evaluator —
 // evaluators reuse one expression environment and are not shareable across
-// goroutines. run returns the task's rows and the page fetches it issued.
+// goroutines; eval makes one per worker (nil: the tasks need none). run
+// appends the task's rows to out and returns the page fetches it issued.
 type taskSet struct {
 	n       int
+	eval    func() *algebra.RowEvaluator
 	preload func(task int, p *storage.Preload) error
-	run     func(re *algebra.RowEvaluator, task int) ([]algebra.Row, int, error)
+	run     func(re *algebra.RowEvaluator, task int, out *RowBatch) (int, error)
 }
 
 // exchangeable is implemented by the serial operators an exchange can
@@ -78,7 +80,7 @@ type exchangeable interface {
 
 type taskResult struct {
 	seq  int
-	rows []algebra.Row
+	rows *RowBatch
 	err  error
 }
 
@@ -115,7 +117,7 @@ func (o *exchangeOp) Close() error {
 // operator it compiled to, with its own instrumentation, so an exchange
 // can never change results — only scheduling.
 func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *analyzeCtx) (*compiled, error) {
-	in, err := e.compileNode(n.Input, an)
+	in, err := e.compileNode(n.Input, an, c.lay)
 	if err != nil {
 		return nil, err
 	}
@@ -123,9 +125,9 @@ func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *a
 	if !ok {
 		return in, nil
 	}
-	c.hdr, c.kids = in.hdr, in.kids
+	c.hdr, c.kids, c.slots = in.hdr, in.kids, in.slots
 	c.op = &exchangeOp{
-		exchangeCore: exchangeCore{alg: e.Alg, workers: exchangeWorkers(n.Workers), eager: an != nil},
+		exchangeCore: exchangeCore{width: c.lay.Width(), workers: exchangeWorkers(n.Workers), eager: an != nil},
 		src:          src,
 	}
 	return c, nil
@@ -134,7 +136,7 @@ func (e *Executor) compileExchange(c *compiled, n *optimizer.ExchangePlan, an *a
 // exchangeCore schedules numbered tasks across worker goroutines and merges
 // their row batches back in task order.
 type exchangeCore struct {
-	alg     *algebra.Algebra
+	width   int // the plan's row width
 	workers int
 	eager   bool
 
@@ -146,9 +148,9 @@ type exchangeCore struct {
 	wg      sync.WaitGroup
 	wstats  []WorkerStat
 
-	buf      map[int][]algebra.Row // completed tasks awaiting their turn
-	seq      int                   // next task to emit
-	cur      []algebra.Row
+	buf      map[int]*RowBatch // completed tasks awaiting their turn
+	seq      int               // next task to emit
+	cur      *RowBatch
 	ci       int
 	err      error
 	started  bool
@@ -172,7 +174,7 @@ func exchangeWorkers(n int) int {
 // discovery, index probes, join builds).
 func (c *exchangeCore) start(ts taskSet) error {
 	c.ts = ts
-	c.buf = make(map[int][]algebra.Row)
+	c.buf = make(map[int]*RowBatch)
 	c.started = true
 	if c.eager {
 		c.launch()
@@ -205,19 +207,23 @@ func (c *exchangeCore) launch() {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			re := c.alg.NewRowEvaluator()
+			var re *algebra.RowEvaluator
+			if c.ts.eval != nil {
+				re = c.ts.eval()
+			}
 			var pl storage.Preload
 			for !c.stop.Load() {
 				t, err := c.claim(&pl)
 				if t >= c.ts.n {
 					return
 				}
-				var rows []algebra.Row
+				var rows *RowBatch
 				if err == nil {
 					pl.Wait()
+					rows = &RowBatch{width: c.width}
 					var pages int
-					rows, pages, err = c.ts.run(re, t)
-					ws.Rows += int64(len(rows))
+					pages, err = c.ts.run(re, t, rows)
+					ws.Rows += int64(rows.Len())
 					ws.Pages += int64(pages)
 				}
 				if rerr := pl.Release(); err == nil {
@@ -281,13 +287,14 @@ func (c *exchangeCore) nextBatch(b *RowBatch) (int, error) {
 	if !c.launched && c.started {
 		c.launch()
 	}
-	n := 0
-	for n < len(b.Rows) {
+	n, w := 0, c.width
+	for n < b.Len() {
 		if c.err != nil {
 			return 0, c.err
 		}
-		if c.ci < len(c.cur) {
-			take := copy(b.Rows[n:], c.cur[c.ci:])
+		if c.cur != nil && c.ci < c.cur.Len() {
+			take := min(b.Len()-n, c.cur.Len()-c.ci)
+			copy(b.Slots[n*w:(n+take)*w], c.cur.Slots[c.ci*w:(c.ci+take)*w])
 			n += take
 			c.ci += take
 			continue

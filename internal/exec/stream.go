@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -31,47 +33,145 @@ import (
 // kernel golden suite hold the two paths equal.
 
 // Execute runs a plan through the streaming pipeline and materializes the
-// result, preserving the seed executor's *algebra.Collection API.
+// result, preserving the seed executor's *algebra.Collection API. Its rows
+// are converted to the map-shaped algebra.Row at the root.
 func (e *Executor) Execute(p optimizer.Plan) (*algebra.Collection, error) {
-	root, err := e.compileNode(p, nil)
+	root, err := e.compile(p, nil)
 	if err != nil {
 		return nil, err
 	}
 	return root.drain()
 }
 
+// ExecuteResult runs a plan through the streaming pipeline and extracts
+// its Result straight from the row vectors: the Result of
+// Extract(Execute(p)), without building a map-shaped row per result row.
+func (e *Executor) ExecuteResult(p optimizer.Plan) (*Result, error) {
+	root, err := e.compile(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	result, primary := root.binding(ResultVar), root.binding(root.hdr.Name)
+	err = root.each(func(b *RowBatch, n int) {
+		for i := 0; i < n; i++ {
+			row := b.Row(i)
+			r, hasR := result(row)
+			pb, hasP := primary(row)
+			res.add(r, hasR, pb, hasP, root.hdr.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // Compile lowers a plan into a physical-operator pipeline without running
 // it, behind the root row cursor. The caller owns the lifecycle: Open, Next
 // until exhausted, Close.
 func (e *Executor) Compile(p optimizer.Plan) (*Cursor, error) {
-	root, err := e.compileNode(p, nil)
+	root, err := e.compile(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{root: root.op, hdr: root.hdr}, nil
+	return &Cursor{root: root}, nil
 }
 
-// drain materializes a compiled operator's stream under its compile-time
-// header, a full batch at a time.
-func (c *compiled) drain() (*algebra.Collection, error) {
-	out := &algebra.Collection{Kind: c.hdr.Kind, Name: c.hdr.Name, Class: c.hdr.Class}
+// compile lays out the plan's rows — a slot per range variable it binds,
+// and one for the projection result — and lowers it.
+func (e *Executor) compile(p optimizer.Plan, an *analyzeCtx) (*compiled, error) {
+	return e.compileNode(p, an, optimizer.NewLayout(p, ResultVar))
+}
+
+// each opens a compiled operator, hands fn every non-empty batch of its
+// stream through one pooled batch, and closes it.
+func (c *compiled) each(fn func(b *RowBatch, n int)) error {
 	if err := c.op.Open(); err != nil {
 		c.op.Close()
-		return nil, err
+		return err
 	}
-	b := newRowBatch(BatchCapacity)
+	b := getBatch(c.lay.Width())
+	used := 0 // the most rows a batch held
+	defer func() { putBatch(b, used) }()
 	for {
 		n, err := c.op.NextBatch(b)
 		if err != nil {
 			c.op.Close()
-			return nil, err
+			return err
 		}
 		if n == 0 {
 			break
 		}
-		out.Rows = append(out.Rows, b.Rows[:n]...)
+		used = max(used, n)
+		fn(b, n)
 	}
-	if err := c.op.Close(); err != nil {
+	return c.op.Close()
+}
+
+// drain materializes a compiled operator's stream under its compile-time
+// header, converting each row to the map-shaped algebra.Row.
+func (c *compiled) drain() (*algebra.Collection, error) {
+	out := &algebra.Collection{Kind: c.hdr.Kind, Name: c.hdr.Name, Class: c.hdr.Class}
+	err := c.each(func(b *RowBatch, n int) {
+		for i := 0; i < n; i++ {
+			out.Rows = append(out.Rows, c.toRow(b.Row(i)))
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// packed holds whole rows narrow: row i keeps only the bindings of slots,
+// a node's schema, in slot order. The build sides, breakers and
+// intersections hold a drained input this way, so a held row costs its
+// schema's slots, not the plan's whole width.
+type packed struct {
+	RowBatch // width len(slots)
+	slots    []int
+}
+
+func newPacked(slots []int) *packed {
+	return &packed{RowBatch: RowBatch{width: len(slots)}, slots: slots}
+}
+
+// at is the position of a schema slot in a packed row.
+func (p *packed) at(slot int) int { return slices.Index(p.slots, slot) }
+
+// pack appends the schema slots of a full-width row.
+func (p *packed) pack(row []algebra.Bound) {
+	dst := p.add()
+	for k, s := range p.slots {
+		dst[k] = row[s]
+	}
+}
+
+// put writes packed row i's bindings into their slots of a full-width row.
+func (p *packed) put(dst []algebra.Bound, i int) {
+	src := p.Row(i)
+	for k, s := range p.slots {
+		dst[s] = src[k]
+	}
+}
+
+// maxPresizeRows caps the rows drainRows reserves on the plan's estimate.
+const maxPresizeRows = 1 << 16
+
+// drainRows collects a compiled operator's stream, packed to its schema:
+// how the build sides, breakers and intersections hold a whole input
+// without converting its rows.
+func (c *compiled) drainRows() (*packed, error) {
+	out := newPacked(c.slots)
+	// Sized by the plan's estimate, a build side rarely grows by copying.
+	out.Slots = make([]algebra.Bound, 0, min(int(c.plan.Card())+1, maxPresizeRows)*out.width)
+	err := c.each(func(b *RowBatch, n int) {
+		for i := 0; i < n; i++ {
+			out.pack(b.Row(i))
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -80,38 +180,104 @@ func (c *compiled) drain() (*algebra.Collection, error) {
 // compiled pairs a plan node with its operator, compile-time header, and
 // compiled children (the analysis tree EXPLAIN ANALYZE walks). op is the
 // operator to drive (possibly a stats wrapper); raw is always the bare
-// operator underneath.
+// operator underneath. slots is the node's schema: the slots of lay its
+// rows bind, ascending.
 type compiled struct {
 	plan  optimizer.Plan
 	op    Operator
 	raw   Operator
 	hdr   optimizer.Header
+	lay   *optimizer.Layout
+	slots []int
 	stats *opStats // non-nil when compiled for EXPLAIN ANALYZE
 	kids  []*compiled
 }
 
-// compileNode lowers one plan node. When an is non-nil every operator is
-// wrapped with per-operator instrumentation.
-func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, error) {
-	c := &compiled{plan: p}
+// slotMap names the node's schema slots: the layout its consumers'
+// expressions compile against.
+func (c *compiled) slotMap() map[string]int {
+	m := make(map[string]int, len(c.slots))
+	for _, s := range c.slots {
+		m[c.lay.Names[s]] = s
+	}
+	return m
+}
+
+// binding returns a reader of one variable's binding in the node's rows;
+// ok is false when the node does not bind it or a row leaves it unbound.
+func (c *compiled) binding(name string) func(row []algebra.Bound) (algebra.Bound, bool) {
+	s, ok := c.lay.Slot(name)
+	if !ok || !slices.Contains(c.slots, s) {
+		return func([]algebra.Bound) (algebra.Bound, bool) { return algebra.Bound{}, false }
+	}
+	return func(row []algebra.Bound) (algebra.Bound, bool) { return row[s], !row[s].Unbound() }
+}
+
+// toRow converts a row vector to the map-shaped algebra.Row of the node's
+// schema: the boundary to the eager algebra and to ExecuteMaterialized's
+// shape. An unbound slot — a union term's variable that the row's term
+// does not bind — is left out, as the materializing union leaves it out.
+func (c *compiled) toRow(row []algebra.Bound) algebra.Row {
+	r := algebra.Row{Vars: make(map[string]algebra.Bound, len(c.slots))}
+	for _, s := range c.slots {
+		if !row[s].Unbound() {
+			r.Vars[c.lay.Names[s]] = row[s]
+		}
+	}
+	return r
+}
+
+// fromRow writes a map-shaped row into a row vector of the node's schema;
+// a variable the row does not bind leaves its slot unbound.
+func (c *compiled) fromRow(r algebra.Row, dst []algebra.Bound) {
+	for _, s := range c.slots {
+		dst[s] = r.Vars[c.lay.Names[s]]
+	}
+}
+
+// unionSlots merges two ascending slot lists.
+func unionSlots(a, b []int) []int {
+	out := append(append([]int(nil), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// compileNode lowers one plan node against the plan's layout. When an is
+// non-nil every operator is wrapped with per-operator instrumentation.
+func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx, lay *optimizer.Layout) (*compiled, error) {
+	c := &compiled{plan: p, lay: lay}
 	child := func(in optimizer.Plan) (*compiled, error) {
-		k, err := e.compileNode(in, an)
+		k, err := e.compileNode(in, an, lay)
 		if err != nil {
 			return nil, err
 		}
 		c.kids = append(c.kids, k)
 		return k, nil
 	}
+	slot := func(v string) int {
+		s, _ := lay.Slot(v) // the layout holds every variable the plan binds
+		return s
+	}
+	width := lay.Width()
+	join := func(left, right *compiled, n *optimizer.JoinPlan) joinBase {
+		return joinBase{
+			alg: e.Alg, left: left, right: right,
+			attr: n.Attribute, leftSlot: slot(n.LeftVar), rightSlot: slot(n.RightVar),
+			pending: RowBatch{width: width}, in: RowBatch{width: width},
+		}
+	}
 
 	switch n := p.(type) {
 	case *optimizer.BindPlan:
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: n.Var, Class: n.Class}
-		c.op = e.scanOp(n, nil)
+		c.slots = []int{slot(n.Var)}
+		c.op = e.scanOp(n, nil, c.slots[0])
 
 	case *optimizer.IndSelPlan:
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: n.Var, Class: n.Class}
+		c.slots = []int{slot(n.Var)}
 		c.op = &indSelOp{
-			alg: e.Alg, class: n.Class, every: n.Every, varName: n.Var,
+			alg: e.Alg, class: n.Class, every: n.Every, varName: n.Var, slot: c.slots[0],
 			indexKind: n.Index.Kind, pred: n.Pred, funcs: e.queryFuncs(),
 		}
 
@@ -138,23 +304,29 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		}
 		first := n.Inputs[0].(*optimizer.IndSelPlan)
 		c.hdr = optimizer.Header{Kind: algebra.SetKind, Name: first.Var, Class: first.Class}
-		c.op = &intersectOp{alg: e.Alg, kids: kids, varName: first.Var, class: first.Class, every: first.Every, rechecks: rechecks}
+		c.slots = []int{slot(first.Var)}
+		c.op = &intersectOp{
+			alg: e.Alg, kids: kids, varName: first.Var, slot: c.slots[0],
+			class: first.Class, every: first.Every, rechecks: rechecks,
+		}
 
 	case *optimizer.SelectPlan:
 		if bp, ok := n.Input.(*optimizer.BindPlan); ok {
 			// Fused scan-selection: the BIND child disappears from the
 			// operator tree; EXPLAIN ANALYZE annotates the fused node.
 			c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: bp.Var, Class: bp.Class}
-			c.op = e.scanOp(bp, n.Pred)
+			c.slots = []int{slot(bp.Var)}
+			c.op = e.scanOp(bp, n.Pred, c.slots[0])
 			break
 		}
 		in, err := child(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		c.hdr = in.hdr
-		sel := &selectOp{in: in.op, re: e.Alg.NewRowEvaluator()}
-		sel.fn, sel.full = e.queryFuncs().BoolFn(n.Pred)
+		c.hdr, c.slots = in.hdr, in.slots
+		vars := in.slotMap()
+		sel := &selectOp{in: in.op, re: e.Alg.NewSlotEvaluator(vars)}
+		sel.fn, sel.full = e.queryFuncs().BoolFn(n.Pred, vars)
 		c.op = sel
 
 	case *optimizer.JoinPlan:
@@ -171,13 +343,8 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				Name:  n.RightVar,
 				Class: right.hdr.Class,
 			}
-			c.op = &bjiJoinOp{
-				joinBase: joinBase{
-					alg: e.Alg, right: right,
-					leftVar: n.LeftVar, attr: n.Attribute, rightVar: n.RightVar,
-				},
-				index: e.BJIs[n.Index], leftBind: lb,
-			}
+			c.slots = unionSlots([]int{slot(n.LeftVar)}, right.slots)
+			c.op = &bjiJoinOp{joinBase: join(nil, right, n), index: e.BJIs[n.Index], leftBind: lb}
 			break
 		}
 		left, err := child(n.Left)
@@ -199,14 +366,12 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				Name:  n.RightVar,
 				Class: bp.Class,
 			}
+			c.slots = unionSlots(left.slots, []int{slot(n.RightVar)})
 			op := &fusionJoinOp{
-				joinBase: joinBase{
-					alg: e.Alg, left: left,
-					leftVar: n.LeftVar, attr: n.Attribute, rightVar: n.RightVar,
-				},
-				bind: bp,
-				pred: pred,
-				re:   e.Alg.NewRowEvaluator(),
+				joinBase: join(left, nil, n),
+				bind:     bp,
+				pred:     pred,
+				re:       e.Alg.NewSlotEvaluator(map[string]int{bp.Var: slot(bp.Var)}),
 			}
 			if pred != nil {
 				op.predFn, _ = e.queryFuncs().Predicate(bp.Var, pred)
@@ -223,14 +388,12 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			Name:  n.RightVar,
 			Class: right.hdr.Class,
 		}
+		c.slots = unionSlots(left.slots, right.slots)
 		var bji *joinindex.BinaryJoinIndex
 		if n.Index != "" {
 			bji = e.BJIs[n.Index]
 		}
-		j := joinBase{
-			alg: e.Alg, left: left, right: right,
-			leftVar: n.LeftVar, attr: n.Attribute, rightVar: n.RightVar,
-		}
+		j := join(left, right, n)
 		switch n.Method {
 		case cost.ForwardTraversal:
 			c.op = &forwardJoinOp{joinBase: j}
@@ -254,7 +417,8 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			return nil, err
 		}
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: right.hdr.Name, Class: right.hdr.Class}
-		c.op = &crossOp{left: left, right: right}
+		c.slots = unionSlots(left.slots, right.slots)
+		c.op = &crossOp{left: left, right: right, lbuf: RowBatch{width: width}}
 
 	case *optimizer.UnionPlan:
 		kids := make([]*compiled, 0, len(n.Inputs))
@@ -264,12 +428,26 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				return nil, err
 			}
 			kids = append(kids, k)
+			c.slots = unionSlots(c.slots, k.slots)
 		}
 		if len(kids) == 0 {
 			return nil, fmt.Errorf("exec: UNION with no inputs")
 		}
 		c.hdr = kids[0].hdr
-		c.op = &unionOp{kids: kids, vars: n.Vars}
+		u := &unionOp{kids: kids, unbind: make([][]int, len(kids))}
+		for i, k := range kids {
+			for _, s := range c.slots {
+				if !slices.Contains(k.slots, s) {
+					u.unbind[i] = append(u.unbind[i], s)
+				}
+			}
+		}
+		for _, v := range n.Vars {
+			if s, ok := lay.Slot(v); ok && slices.Contains(c.slots, s) {
+				u.keySlots = append(u.keySlots, s)
+			}
+		}
+		c.op = u
 
 	case *optimizer.ProjectPlan:
 		in, err := child(n.Input)
@@ -277,8 +455,10 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			return nil, err
 		}
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: in.hdr.Name, Class: in.hdr.Class}
+		c.slots = unionSlots(in.slots, []int{slot(ResultVar)})
+		vars := in.slotMap()
 		pop := &projectOp{
-			in: in.op, items: n.Items, re: e.Alg.NewRowEvaluator(),
+			in: in.op, items: n.Items, re: e.Alg.NewSlotEvaluator(vars), res: slot(ResultVar),
 			fns: make([]expr.Fn, len(n.Items)), full: true,
 		}
 		for i, it := range n.Items {
@@ -287,7 +467,7 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 				continue
 			}
 			var ok bool
-			pop.fns[i], ok = e.queryFuncs().Fn(it.Expr)
+			pop.fns[i], ok = e.queryFuncs().Fn(it.Expr, vars)
 			pop.full = pop.full && ok
 		}
 		c.op = pop
@@ -298,8 +478,9 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 			return nil, err
 		}
 		c.hdr = optimizer.Header{Kind: algebra.ExtentKind, Name: in.hdr.Name, Class: in.hdr.Class}
-		c.op = &breakerOp{in: in, run: func(coll *algebra.Collection) (*algebra.Collection, error) {
-			return e.group(coll, n.By, n.Having, n.Projs)
+		c.slots = unionSlots(in.slots, []int{slot(ResultVar)})
+		c.op = &breakerOp{in: in, run: func(rows *packed) (*packed, error) {
+			return e.groupRows(in, c.slots, rows, n.By, n.Having, n.Projs)
 		}}
 
 	case *optimizer.SortPlan:
@@ -307,9 +488,11 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		if err != nil {
 			return nil, err
 		}
-		c.hdr = in.hdr
-		c.op = &breakerOp{in: in, run: func(coll *algebra.Collection) (*algebra.Collection, error) {
-			return e.sortRows(coll, n.Keys)
+		c.hdr, c.slots = in.hdr, in.slots
+		c.op = &breakerOp{in: in, run: func(rows *packed) (*packed, error) {
+			return in.viaRows(rows, func(coll *algebra.Collection) (*algebra.Collection, error) {
+				return e.sortRows(coll, n.Keys)
+			})
 		}}
 
 	case *optimizer.DupElimPlan:
@@ -317,9 +500,11 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 		if err != nil {
 			return nil, err
 		}
-		c.hdr = in.hdr
-		c.op = &breakerOp{in: in, run: func(coll *algebra.Collection) (*algebra.Collection, error) {
-			return dedupByResult(coll), nil
+		c.hdr, c.slots = in.hdr, in.slots
+		c.op = &breakerOp{in: in, run: func(rows *packed) (*packed, error) {
+			return in.viaRows(rows, func(coll *algebra.Collection) (*algebra.Collection, error) {
+				return dedupByResult(coll), nil
+			})
 		}}
 
 	case *optimizer.ExchangePlan:
@@ -344,15 +529,15 @@ func (e *Executor) compileNode(p optimizer.Plan, an *analyzeCtx) (*compiled, err
 // --- leaf operators -------------------------------------------------------
 
 // scanOp lowers BIND(Class, var), fusing the selection P over it when pred
-// is non-nil.
-func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr) *scanSelectOp {
+// is non-nil; its rows bind slot.
+func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr, slot int) *scanSelectOp {
 	op := &scanSelectOp{
-		alg: e.Alg, class: bp.Class, varName: bp.Var,
+		alg: e.Alg, class: bp.Class, varName: bp.Var, slot: slot,
 		minus: bp.Minus, closure: bp.Every || len(bp.Minus) > 0, pred: pred,
 	}
 	if pred != nil {
 		if op.predFn, op.attrs = e.queryFuncs().Predicate(bp.Var, pred); op.predFn == nil {
-			op.re = e.Alg.NewRowEvaluator()
+			op.re = op.evaluator()
 		}
 	}
 	return op
@@ -361,17 +546,17 @@ func (e *Executor) scanOp(bp *optimizer.BindPlan, pred expr.Expr) *scanSelectOp 
 // scanSelectOp streams a class extent through the catalog's page-at-a-time
 // cursor — BIND(Class, var) — and fuses SELECT(BIND(...), P) into the same
 // operator when it has a predicate: each object comes off the extent cursor
-// and is filtered before a row is ever built, so non-matching objects cost
-// neither a Vars map allocation nor an environment bind. When the predicate
+// and is filtered before it is written to a row slot. When the predicate
 // lowers to self mode (compiled through the Function Manager's query
 // registry) the per-object check is a direct closure call pushed into the
 // cursor, and the cursor decodes in full only the objects it passes (see
-// catalog.ScanFilter); otherwise (method calls) the row is built and the
-// predicate interpreted.
+// catalog.ScanFilter); otherwise (method calls) the slot is written and the
+// predicate interpreted over the row.
 type scanSelectOp struct {
 	alg     *algebra.Algebra
 	class   string
 	varName string
+	slot    int
 	minus   []string
 	closure bool
 	pred    expr.Expr   // nil for a bare BIND
@@ -380,6 +565,12 @@ type scanSelectOp struct {
 	re      *algebra.RowEvaluator
 	cur     *catalog.ExtentCursor
 	decoded atomic.Int64 // records unmarshalled by earlier cursors and by tasks
+}
+
+// evaluator is an evaluator over the scan's one-variable rows, for the
+// predicate the filter cannot run.
+func (o *scanSelectOp) evaluator() *algebra.RowEvaluator {
+	return o.alg.NewSlotEvaluator(map[string]int{o.varName: o.slot})
 }
 
 func (o *scanSelectOp) Open() error {
@@ -414,22 +605,25 @@ func (o *scanSelectOp) filter() catalog.ScanFilter {
 	}
 }
 
-// row builds the row of an object the filter passed and interprets the
-// predicate the filter could not run.
-func (o *scanSelectOp) row(re *algebra.RowEvaluator, oid storage.OID, v object.Value) (algebra.Row, bool, error) {
-	row := algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}}
+// emit writes an object the filter passed into its slot of row and
+// interprets the predicate the filter could not run.
+func (o *scanSelectOp) emit(re *algebra.RowEvaluator, oid storage.OID, v *object.Value, row []algebra.Bound) (bool, error) {
+	row[o.slot] = algebra.Bound{OID: oid, Val: *v}
 	if o.pred == nil || o.predFn != nil {
-		return row, true, nil
+		return true, nil
 	}
-	keep, err := re.EvalBool(row, o.pred)
-	return row, keep, err
+	env, err := re.SlotEnv(row)
+	if err != nil {
+		return false, err
+	}
+	return expr.EvalBool(o.pred, env)
 }
 
 // NextBatch pulls straight from the extent cursor; the cursor reads pages
 // on demand, so a partially consumed batch never over-reads.
 func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < len(b.Rows) {
+	for n < b.Len() {
 		oid, v, ok, err := o.cur.NextRef()
 		if err != nil {
 			return 0, err
@@ -437,12 +631,11 @@ func (o *scanSelectOp) NextBatch(b *RowBatch) (int, error) {
 		if !ok {
 			break
 		}
-		row, keep, err := o.row(o.re, oid, *v)
+		keep, err := o.emit(o.re, oid, v, b.Row(n))
 		if err != nil {
 			return 0, err
 		}
 		if keep {
-			b.Rows[n] = row
 			n++
 		}
 	}
@@ -459,24 +652,24 @@ func (o *scanSelectOp) tasks() (taskSet, error) {
 	filter := o.filter()
 	return taskSet{
 		n:       len(morsels),
+		eval:    o.evaluator,
 		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadMorsel(p, &morsels[t]) },
-		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+		run: func(re *algebra.RowEvaluator, t int, out *RowBatch) (int, error) {
 			objs, decoded, err := o.alg.Cat.ReadMorselFiltered(&morsels[t], filter)
 			o.decoded.Add(decoded)
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			rows := make([]algebra.Row, 0, len(objs))
 			for i := range objs {
-				row, keep, err := o.row(re, objs[i].OID, objs[i].Val)
+				keep, err := o.emit(re, objs[i].OID, &objs[i].Val, out.add())
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
-				if keep {
-					rows = append(rows, row)
+				if !keep {
+					out.drop()
 				}
 			}
-			return rows, len(morsels[t].Pages), nil
+			return len(morsels[t].Pages), nil
 		},
 	}, nil
 }
@@ -517,6 +710,7 @@ type indSelOp struct {
 	class     string
 	every     bool
 	varName   string
+	slot      int
 	indexKind catalog.IndexKind
 	pred      algebra.SimplePredicate
 	probeOnly bool
@@ -533,6 +727,11 @@ type indSelOp struct {
 
 func (o *indSelOp) candidatesOnly() { o.probeOnly = true }
 
+// evaluator is an evaluator over the selection's one-variable rows.
+func (o *indSelOp) evaluator() *algebra.RowEvaluator {
+	return o.alg.NewSlotEvaluator(map[string]int{o.varName: o.slot})
+}
+
 func (o *indSelOp) Open() error {
 	oids, err := o.alg.IndSelCandidates(o.class, o.indexKind, o.pred)
 	if err != nil {
@@ -544,7 +743,7 @@ func (o *indSelOp) Open() error {
 			return err
 		}
 		o.recheck = o.alg.RecheckExpr(o.varName, o.pred)
-		o.re = o.alg.NewRowEvaluator()
+		o.re = o.evaluator()
 		o.predFn, _ = o.funcs.Predicate(o.varName, o.recheck)
 		o.resolve = o.alg.Cat.Resolver()
 	}
@@ -556,7 +755,7 @@ func (o *indSelOp) Open() error {
 // batch size.
 func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < len(b.Rows) && o.i < len(o.oids) {
+	for n < b.Len() && o.i < len(o.oids) {
 		oid := o.oids[o.i]
 		o.i++
 		if !o.probeOnly {
@@ -575,7 +774,7 @@ func (o *indSelOp) NextBatch(b *RowBatch) (int, error) {
 				continue
 			}
 		}
-		b.Rows[n] = o.idRow(oid)
+		b.Row(n)[o.slot] = algebra.Bound{OID: oid} // as in IndSel, the identifier only
 		n++
 	}
 	return n, nil
@@ -587,12 +786,11 @@ func (o *indSelOp) recheckOne(re *algebra.RowEvaluator, oid storage.OID, v *obje
 	if o.predFn != nil {
 		return o.predFn(v, oid, o.resolve)
 	}
-	return re.EvalBool(algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: *v}}}, o.recheck)
-}
-
-// idRow is an emitted row: as in IndSel, it carries the identifier only.
-func (o *indSelOp) idRow(oid storage.OID) algebra.Row {
-	return algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
+	env, err := re.BindOne(o.slot, algebra.Bound{OID: oid, Val: *v})
+	if err != nil {
+		return false, err
+	}
+	return expr.EvalBool(o.recheck, env)
 }
 
 // tasks probes the index (Open) and splits the candidates into page-aligned
@@ -606,26 +804,26 @@ func (o *indSelOp) tasks() (taskSet, error) {
 	chunks := chunkOIDs(o.oids, exchangeOIDChunk)
 	return taskSet{
 		n:       len(chunks),
+		eval:    o.evaluator,
 		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) },
-		run: func(re *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+		run: func(re *algebra.RowEvaluator, t int, out *RowBatch) (int, error) {
 			vals, names, err := o.alg.Cat.GetObjects(chunks[t])
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			var rows []algebra.Row
 			for i, oid := range chunks[t] {
 				if !o.allowed[names[i]] {
 					continue
 				}
 				ok, err := o.recheckOne(re, oid, &vals[i])
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
 				if ok {
-					rows = append(rows, o.idRow(oid))
+					out.add()[o.slot] = algebra.Bound{OID: oid}
 				}
 			}
-			return rows, len(chunks[t]), nil
+			return len(chunks[t]), nil
 		},
 	}, nil
 }
@@ -645,6 +843,7 @@ type intersectOp struct {
 	alg      *algebra.Algebra
 	kids     []*compiled
 	varName  string
+	slot     int
 	class    string // the inputs' class and EVERY, as in indSelOp
 	every    bool
 	rechecks []expr.Expr
@@ -659,19 +858,19 @@ func (o *intersectOp) Open() error {
 	var first []storage.OID
 	var rest []map[storage.OID]bool
 	for ki, kid := range o.kids {
-		cands, err := kid.drain()
+		cands, err := kid.drainRows()
 		if err != nil {
 			return err
 		}
 		if ki == 0 {
-			for _, row := range cands.Rows {
-				first = append(first, row.Vars[o.varName].OID)
+			for i := 0; i < cands.Len(); i++ {
+				first = append(first, cands.Row(i)[0].OID)
 			}
 			continue
 		}
-		set := make(map[storage.OID]bool, len(cands.Rows))
-		for _, row := range cands.Rows {
-			set[row.Vars[o.varName].OID] = true
+		set := make(map[storage.OID]bool, cands.Len())
+		for i := 0; i < cands.Len(); i++ {
+			set[cands.Row(i)[0].OID] = true
 		}
 		rest = append(rest, set)
 	}
@@ -689,7 +888,7 @@ func (o *intersectOp) Open() error {
 			o.oids = append(o.oids, oid)
 		}
 	}
-	o.re = o.alg.NewRowEvaluator()
+	o.re = o.alg.NewSlotEvaluator(map[string]int{o.varName: o.slot})
 	var err error
 	o.allowed, err = bindClasses(o.alg.Cat, o.class, o.every, nil)
 	return err
@@ -698,7 +897,7 @@ func (o *intersectOp) Open() error {
 func (o *intersectOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
 next:
-	for n < len(b.Rows) && o.i < len(o.oids) {
+	for n < b.Len() && o.i < len(o.oids) {
 		oid := o.oids[o.i]
 		o.i++
 		v, name, err := o.alg.Cat.GetObject(oid)
@@ -708,7 +907,7 @@ next:
 		if !o.allowed[name] {
 			continue
 		}
-		env, err := o.re.Env(algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid, Val: v}}})
+		env, err := o.re.BindOne(o.slot, algebra.Bound{OID: oid, Val: v})
 		if err != nil {
 			return 0, err
 		}
@@ -721,7 +920,7 @@ next:
 				continue next
 			}
 		}
-		b.Rows[n] = algebra.Row{Vars: map[string]algebra.Bound{o.varName: {OID: oid}}}
+		b.Row(n)[o.slot] = algebra.Bound{OID: oid}
 		n++
 	}
 	return n, nil
@@ -737,8 +936,8 @@ func (o *intersectOp) Close() error {
 // --- streaming filters ----------------------------------------------------
 
 // selectOp is SELECT(input, P): a pure streaming filter. The predicate runs
-// as a compiled closure against the evaluator's bound environment; subtrees
-// that do not lower (method calls) interpret inside it.
+// as a closure compiled against the input's slots; subtrees that do not
+// lower (method calls) interpret inside it.
 type selectOp struct {
 	in   Operator
 	re   *algebra.RowEvaluator
@@ -750,7 +949,7 @@ func (o *selectOp) Open() error { return o.in.Open() }
 
 // NextBatch filters the child's batch in place, pulling more input until at
 // least one row survives or the input ends (a 0 return means exhaustion).
-// Asking the child for len(b.Rows) rows never consumes input past the last
+// Asking the child for b.Len() rows never consumes input past the last
 // row a full b needs.
 func (o *selectOp) NextBatch(b *RowBatch) (int, error) {
 	for {
@@ -759,13 +958,16 @@ func (o *selectOp) NextBatch(b *RowBatch) (int, error) {
 			return 0, err
 		}
 		w := 0
-		for _, row := range b.Rows[:n] {
-			keep, err := o.re.EvalPred(row, o.fn)
+		for i := 0; i < n; i++ {
+			row := b.Row(i)
+			keep, err := o.re.EvalSlots(row, o.fn)
 			if err != nil {
 				return 0, err
 			}
 			if keep {
-				b.Rows[w] = row
+				if w != i {
+					copy(b.Row(w), row)
+				}
 				w++
 			}
 		}
@@ -779,12 +981,14 @@ func (o *selectOp) Close() error { return o.in.Close() }
 
 func (o *selectOp) compiledPredicate() (active, full bool) { return true, o.full }
 
-// projectOp evaluates the projection list per row, attaching the tuple
-// under ResultVar. The item expressions run as compiled closures.
+// projectOp evaluates the projection list per row and writes the tuple into
+// the ResultVar slot. The item expressions run as closures compiled against
+// the input's slots.
 type projectOp struct {
 	in    Operator
 	items []sql.ProjItem
 	re    *algebra.RowEvaluator
+	res   int // the ResultVar slot
 	names []string
 	fns   []expr.Fn // per-item compiled forms; nil for star/aggregate items
 	full  bool
@@ -799,36 +1003,31 @@ func (o *projectOp) Open() error {
 }
 
 // NextBatch transforms the child's batch in place — projection is 1:1, so
-// the child's count is the output count.
+// the child's count is the output count. Every tuple shares the
+// operator's name list; values are immutable once built.
 func (o *projectOp) NextBatch(b *RowBatch) (int, error) {
 	n, err := o.in.NextBatch(b)
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	for i, row := range b.Rows[:n] {
-		env, err := o.re.Env(row)
+	for i := 0; i < n; i++ {
+		row := b.Row(i)
+		env, err := o.re.SlotEnv(row)
 		if err != nil {
 			return 0, err
 		}
 		fields := make([]object.Value, len(o.items))
 		for j, it := range o.items {
-			var v object.Value
 			if o.fns[j] != nil {
-				v, err = o.fns[j](env)
+				fields[j], err = o.fns[j](env)
 			} else {
-				v, err = it.Expr.Eval(env)
+				fields[j], err = it.Expr.Eval(env)
 			}
 			if err != nil {
 				return 0, err
 			}
-			fields[j] = v
 		}
-		nr := algebra.Row{Vars: make(map[string]algebra.Bound, len(row.Vars)+1)}
-		for k, v := range row.Vars {
-			nr.Vars[k] = v
-		}
-		nr.Vars[ResultVar] = algebra.Bound{Val: object.NewTuple(o.names, fields)}
-		b.Rows[i] = nr
+		row[o.res] = algebra.Bound{Val: object.Value{Kind: object.KindTuple, Names: o.names, Fields: fields}}
 	}
 	return n, nil
 }
@@ -839,51 +1038,72 @@ func (o *projectOp) compiledPredicate() (active, full bool) { return true, o.ful
 
 // --- pipeline breakers ----------------------------------------------------
 
-// breakerOp drains its input at Open and applies a whole-collection
-// transform (sort, group, dup-elim) — the explicit pipeline breakers.
+// breakerOp drains its input at Open and applies a whole-input transform
+// (sort, group, dup-elim) — the explicit pipeline breakers.
 type breakerOp struct {
-	in  *compiled
-	run func(*algebra.Collection) (*algebra.Collection, error)
-	out []algebra.Row
-	i   int
+	in   *compiled
+	run  func(rows *packed) (*packed, error)
+	rows *packed
+	i    int
 }
 
 func (o *breakerOp) Open() error {
-	coll, err := o.in.drain()
+	rows, err := o.in.drainRows()
 	if err != nil {
 		return err
 	}
-	res, err := o.run(coll)
-	if err != nil {
-		return err
-	}
-	o.out = res.Rows
-	return nil
+	o.rows, err = o.run(rows)
+	return err
 }
 
-// NextBatch copies a run of the materialized result.
+// NextBatch unpacks a run of the transformed rows.
 func (o *breakerOp) NextBatch(b *RowBatch) (int, error) {
-	n := copy(b.Rows, o.out[o.i:])
+	n := min(b.Len(), o.rows.Len()-o.i)
+	for k := 0; k < n; k++ {
+		o.rows.put(b.Row(k), o.i+k)
+	}
 	o.i += n
 	return n, nil
 }
 
 func (o *breakerOp) Close() error { return o.in.op.Close() }
 
+// viaRows runs a whole-collection transform over drained rows: the rows
+// cross the boundary to the map-shaped algebra.Row and back. Sort and
+// dup-elim run this way.
+func (c *compiled) viaRows(rows *packed, run func(*algebra.Collection) (*algebra.Collection, error)) (*packed, error) {
+	wide := make([]algebra.Bound, c.lay.Width())
+	coll := &algebra.Collection{Kind: c.hdr.Kind, Name: c.hdr.Name, Class: c.hdr.Class, Rows: make([]algebra.Row, rows.Len())}
+	for i := range coll.Rows {
+		rows.put(wide, i)
+		coll.Rows[i] = c.toRow(wide)
+	}
+	res, err := run(coll)
+	if err != nil {
+		return nil, err
+	}
+	out := newPacked(rows.slots)
+	for _, r := range res.Rows {
+		c.fromRow(r, wide)
+		out.pack(wide)
+	}
+	return out, nil
+}
+
 // --- joins ----------------------------------------------------------------
 
 // joinBase carries the fields shared by the join strategies. pending
-// buffers the merged rows one production step made (a single driving row
+// buffers the joined rows one production step made (a single driving row
 // can match several rows on the other side).
 type joinBase struct {
-	alg         *algebra.Algebra
-	left, right *compiled
-	leftVar     string
-	attr        string
-	rightVar    string
+	alg                 *algebra.Algebra
+	left, right         *compiled
+	attr                string
+	leftSlot, rightSlot int // the join variables' slots
 
-	pending []algebra.Row
-	pi      int
+	pending RowBatch // growable
+	pi      int      // pending rows already handed out
+	in      RowBatch // the driving rows pull gathers
 	sub     RowBatch // the sub-batch a strategy pulls its streaming input into
 	eof     bool     // the input pull reads is exhausted
 }
@@ -893,15 +1113,17 @@ type joinBase struct {
 // reading than the batch it was handed needs. produce appends to pending
 // and reports false once the join is exhausted.
 func (j *joinBase) fill(b *RowBatch, produce func() (bool, error)) (int, error) {
-	n := 0
+	n, w := 0, b.width
 	for {
-		k := copy(b.Rows[n:], j.pending[j.pi:])
+		k := min(b.Len()-n, j.pending.Len()-j.pi)
+		copy(b.Slots[n*w:(n+k)*w], j.pending.Slots[j.pi*w:(j.pi+k)*w])
 		j.pi += k
 		n += k
-		if n == len(b.Rows) {
+		if n == b.Len() {
 			return n, nil
 		}
-		j.pending, j.pi = j.pending[:0], 0
+		j.pending.reset()
+		j.pi = 0
 		more, err := produce()
 		if err != nil {
 			return 0, err
@@ -927,15 +1149,14 @@ func (j *joinBase) Close() error {
 	return err
 }
 
-// pull takes the next joinBatchRows rows off in, asking for exactly the
-// rows still missing so it never reads past the step, and sets eof once in
-// is exhausted.
-func (j *joinBase) pull(in *compiled) ([]algebra.Row, error) {
-	batch := make([]algebra.Row, joinBatchRows)
+// pull takes the next joinBatchRows rows off in into j.in, asking for
+// exactly the rows still missing so it never reads past the step, and sets
+// eof once in is exhausted. The rows stay valid until the next pull.
+func (j *joinBase) pull(in *compiled) (*RowBatch, error) {
+	batch := j.in.sized(joinBatchRows)
 	n := 0
 	for n < joinBatchRows {
-		j.sub.Rows = batch[n:]
-		k, err := in.op.NextBatch(&j.sub)
+		k, err := in.op.NextBatch(j.sub.tail(batch, n))
 		if err != nil {
 			return nil, err
 		}
@@ -945,7 +1166,21 @@ func (j *joinBase) pull(in *compiled) ([]algebra.Row, error) {
 		}
 		n += k
 	}
-	return batch[:n], nil
+	batch.Slots = batch.Slots[:n*batch.width]
+	return batch, nil
+}
+
+// rowsByOID indexes rows by the OID bound in slot, skipping rows that bind
+// none, as algebra.RowsByOID does.
+func rowsByOID(rows *packed, slot int) map[storage.OID][]int {
+	m := make(map[storage.OID][]int, rows.Len())
+	k := rows.at(slot)
+	for i := 0; i < rows.Len(); i++ {
+		if oid := rows.Row(i)[k].OID; !oid.IsNil() {
+			m[oid] = append(m[oid], i)
+		}
+	}
+	return m
 }
 
 // distinctRefs lists the distinct OIDs of lists in first-seen order, with
@@ -973,21 +1208,21 @@ const joinBatchRows = 64
 
 // forwardJoinOp streams the left side and chases each reference (the
 // paper's forward traversal); the right side is the build side, drained at
-// Open into an OID-keyed hash. The left side is consumed joinBatchRows rows
-// per step: each step's distinct references resolve through one
-// page-ordered GetObjects call instead of a random dereference per
-// occurrence.
+// Open and indexed by OID. The left side is consumed joinBatchRows rows per
+// step: each step's distinct references resolve through one page-ordered
+// GetObjects call instead of a random dereference per occurrence.
 type forwardJoinOp struct {
 	joinBase
-	rightBy map[storage.OID][]algebra.Row
+	rightRows *packed
+	rightBy   map[storage.OID][]int
 }
 
 func (o *forwardJoinOp) Open() error {
-	rc, err := o.right.drain()
-	if err != nil {
+	var err error
+	if o.rightRows, err = o.right.drainRows(); err != nil {
 		return err
 	}
-	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
+	o.rightBy = rowsByOID(o.rightRows, o.rightSlot)
 	return o.left.op.Open()
 }
 
@@ -1004,13 +1239,12 @@ func (o *forwardJoinOp) produce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	batchRefs := make([][]storage.OID, len(batch))
-	for i := range batch {
-		lb := batch[i].Vars[o.leftVar]
-		if err := o.alg.MaterializeBound(&lb); err != nil {
+	batchRefs := make([][]storage.OID, batch.Len())
+	for i := range batchRefs {
+		lb := &batch.Row(i)[o.leftSlot]
+		if err := o.alg.MaterializeBound(lb); err != nil {
 			return false, err
 		}
-		batch[i].Vars[o.leftVar] = lb
 		batchRefs[i] = algebra.RefsOf(lb.Val, o.attr)
 	}
 	// Chase the pointers: every distinct reference of the step is
@@ -1024,15 +1258,15 @@ func (o *forwardJoinOp) produce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	for i, lrow := range batch {
-		for _, ref := range batchRefs[i] {
+	for i, lrefs := range batchRefs {
+		lrow := batch.Row(i)
+		for _, ref := range lrefs {
 			val := vals[at[ref]]
-			for _, rrow := range o.rightBy[ref] {
-				merged := lrow.Merged(rrow)
-				rb := merged.Vars[o.rightVar]
-				rb.Val = val
-				merged.Vars[o.rightVar] = rb
-				o.pending = append(o.pending, merged)
+			for _, ri := range o.rightBy[ref] {
+				row := o.pending.add()
+				copy(row, lrow)
+				o.rightRows.put(row, ri)
+				row[o.rightSlot].Val = val
 			}
 		}
 	}
@@ -1045,25 +1279,24 @@ func (o *forwardJoinOp) produce() (bool, error) {
 // streaming side, so an early-closing consumer stops the scan mid-extent.
 type backwardJoinOp struct {
 	joinBase
-	leftBy  map[storage.OID][]algebra.Row
-	rightBy map[storage.OID][]algebra.Row
-	cur     *catalog.ExtentCursor
+	leftRows, rightRows *packed
+	leftBy, rightBy     map[storage.OID][]int
+	cur                 *catalog.ExtentCursor
 }
 
 func (o *backwardJoinOp) Open() error {
 	if o.left.hdr.Class == "" {
 		return fmt.Errorf("algebra: backward traversal needs the left class")
 	}
-	lc, err := o.left.drain()
-	if err != nil {
+	var err error
+	if o.leftRows, err = o.left.drainRows(); err != nil {
 		return err
 	}
-	rc, err := o.right.drain()
-	if err != nil {
+	if o.rightRows, err = o.right.drainRows(); err != nil {
 		return err
 	}
-	o.leftBy = algebra.RowsByOID(lc, o.leftVar)
-	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
+	o.leftBy = rowsByOID(o.leftRows, o.leftSlot)
+	o.rightBy = rowsByOID(o.rightRows, o.rightSlot)
 	o.cur, err = o.alg.Cat.OpenExtentScan(o.left.hdr.Class, nil, true)
 	return err
 }
@@ -1085,12 +1318,13 @@ func (o *backwardJoinOp) produce() (bool, error) {
 		if !hit {
 			continue
 		}
-		for _, lrow := range lrows {
-			lb := lrow.Vars[o.leftVar]
-			lb.Val = v
-			lrow.Vars[o.leftVar] = lb
-			for _, rrow := range rrows {
-				o.pending = append(o.pending, lrow.Merged(rrow))
+		at := o.leftRows.at(o.leftSlot)
+		for _, li := range lrows {
+			o.leftRows.Row(li)[at].Val = v
+			for _, ri := range rrows {
+				row := o.pending.add()
+				o.leftRows.put(row, li)
+				o.rightRows.put(row, ri)
 			}
 		}
 	}
@@ -1118,8 +1352,9 @@ func (o *backwardJoinOp) Close() error {
 // order are those of the draining form: right order, then index order.
 type bjiJoinOp struct {
 	joinBase
-	index  *joinindex.BinaryJoinIndex
-	leftBy map[storage.OID][]algebra.Row
+	index    *joinindex.BinaryJoinIndex
+	leftRows *packed
+	leftBy   map[storage.OID][]int
 
 	leftBind *optimizer.BindPlan // the absorbed left side, or nil
 	allowed  map[string]bool     // class names leftBind yields
@@ -1137,11 +1372,11 @@ func (o *bjiJoinOp) Open() error {
 		}
 		return o.right.op.Open()
 	}
-	lc, err := o.left.drain()
-	if err != nil {
+	var err error
+	if o.leftRows, err = o.left.drainRows(); err != nil {
 		return err
 	}
-	o.leftBy = algebra.RowsByOID(lc, o.leftVar)
+	o.leftBy = rowsByOID(o.leftRows, o.leftSlot)
 	return o.right.op.Open()
 }
 
@@ -1161,18 +1396,22 @@ func (o *bjiJoinOp) NextBatch(b *RowBatch) (int, error) {
 
 // produce resolves the next right row against the index into pending.
 func (o *bjiJoinOp) produce() (bool, error) {
-	k, err := o.right.op.NextBatch(o.sub.sized(1))
+	k, err := o.right.op.NextBatch(o.in.sized(1))
 	if err != nil || k == 0 {
 		return false, err
 	}
-	rrow := o.sub.Rows[0]
-	sources, err := o.index.Backward(rrow.Vars[o.rightVar].OID)
+	rrow := o.in.Row(0)
+	sources, err := o.index.Backward(rrow[o.rightSlot].OID)
 	if err != nil {
 		return false, err
 	}
 	for _, src := range sources {
-		for _, lrow := range o.leftBy[src] {
-			o.pending = append(o.pending, lrow.Merged(rrow))
+		for _, li := range o.leftBy[src] {
+			row := o.pending.add()
+			o.leftRows.put(row, li)
+			for _, s := range o.right.slots {
+				row[s] = rrow[s]
+			}
 		}
 	}
 	return true, nil
@@ -1185,12 +1424,12 @@ func (o *bjiJoinOp) produceAbsorbed() (bool, error) {
 		return false, nil
 	}
 	batch, err := o.pull(o.right)
-	if err != nil || len(batch) == 0 {
+	if err != nil || batch.Len() == 0 {
 		return false, err
 	}
-	sources := make([][]storage.OID, len(batch))
-	for i := range batch {
-		if sources[i], err = o.index.Backward(batch[i].Vars[o.rightVar].OID); err != nil {
+	sources := make([][]storage.OID, batch.Len())
+	for i := range sources {
+		if sources[i], err = o.index.Backward(batch.Row(i)[o.rightSlot].OID); err != nil {
 			return false, err
 		}
 	}
@@ -1202,14 +1441,18 @@ func (o *bjiJoinOp) produceAbsorbed() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	for i, rrow := range batch {
-		for _, src := range sources[i] {
+	for i, srcs := range sources {
+		rrow := batch.Row(i)
+		for _, src := range srcs {
 			j := at[src]
 			if !o.allowed[names[j]] {
 				continue
 			}
-			lrow := algebra.Row{Vars: map[string]algebra.Bound{o.leftVar: {OID: src, Val: vals[j]}}}
-			o.pending = append(o.pending, lrow.Merged(rrow))
+			row := o.pending.add()
+			row[o.leftSlot] = algebra.Bound{OID: src, Val: vals[j]}
+			for _, s := range o.right.slots {
+				row[s] = rrow[s]
+			}
 		}
 	}
 	return true, nil
@@ -1273,10 +1516,11 @@ func bindClasses(cat *catalog.Catalog, class string, every bool, minus []string)
 // early-closing consumer still skips the tail chunks entirely.
 type hashJoinOp struct {
 	joinBase
-	partitions map[storage.OID][]algebra.Row
-	rightBy    map[storage.OID][]algebra.Row
-	refs       []storage.OID // sorted, filtered to right-side hits
-	ri         int
+	leftRows, rightRows *packed
+	partitions          map[storage.OID][]int
+	rightBy             map[storage.OID][]int
+	refs                []storage.OID // sorted, filtered to right-side hits
+	ri                  int
 }
 
 func (o *hashJoinOp) Open() error {
@@ -1292,16 +1536,15 @@ func (o *hashJoinOp) Open() error {
 // the left rows on the pointer field, returning every distinct referenced
 // OID in sorted order.
 func (o *hashJoinOp) build() ([]storage.OID, error) {
-	lc, err := o.left.drain()
-	if err != nil {
+	var err error
+	if o.leftRows, err = o.left.drainRows(); err != nil {
 		return nil, err
 	}
-	rc, err := o.right.drain()
-	if err != nil {
+	if o.rightRows, err = o.right.drainRows(); err != nil {
 		return nil, err
 	}
-	o.rightBy = algebra.RowsByOID(rc, o.rightVar)
-	if o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr); err != nil {
+	o.rightBy = rowsByOID(o.rightRows, o.rightSlot)
+	if o.partitions, err = partitionByRef(o.alg, o.leftRows, o.leftSlot, o.attr); err != nil {
 		return nil, err
 	}
 	return sortedRefs(o.partitions), nil
@@ -1319,25 +1562,25 @@ func (o *hashJoinOp) hits(refs []storage.OID) []storage.OID {
 }
 
 // partitionByRef is the build phase shared by the hash-partition and fusion
-// joins: each left row, materialized, lands in the partition of every
-// object its pointer field references.
-func partitionByRef(alg *algebra.Algebra, lc *algebra.Collection, leftVar, attr string) (map[storage.OID][]algebra.Row, error) {
-	partitions := make(map[storage.OID][]algebra.Row)
-	for _, lrow := range lc.Rows {
-		lb := lrow.Vars[leftVar]
-		if err := alg.MaterializeBound(&lb); err != nil {
+// joins: each left row, its slot materialized in place, lands in the
+// partition of every object its pointer field references.
+func partitionByRef(alg *algebra.Algebra, rows *packed, slot int, attr string) (map[storage.OID][]int, error) {
+	partitions := make(map[storage.OID][]int)
+	k := rows.at(slot)
+	for i := 0; i < rows.Len(); i++ {
+		lb := &rows.Row(i)[k]
+		if err := alg.MaterializeBound(lb); err != nil {
 			return nil, err
 		}
-		lrow.Vars[leftVar] = lb
 		for _, ref := range algebra.RefsOf(lb.Val, attr) {
-			partitions[ref] = append(partitions[ref], lrow)
+			partitions[ref] = append(partitions[ref], i)
 		}
 	}
 	return partitions, nil
 }
 
 // sortedRefs lists a partition map's referenced OIDs in sorted order.
-func sortedRefs(partitions map[storage.OID][]algebra.Row) []storage.OID {
+func sortedRefs(partitions map[storage.OID][]int) []storage.OID {
 	refs := make([]storage.OID, 0, len(partitions))
 	for ref := range partitions {
 		refs = append(refs, ref)
@@ -1369,30 +1612,28 @@ func (o *hashJoinOp) produce() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	o.pending = o.merge(o.pending, chunk, vals)
+	o.merge(&o.pending, chunk, vals)
 	return true, nil
 }
 
 // merge appends the joined rows of a dereferenced ref chunk to dst.
-func (o *hashJoinOp) merge(dst []algebra.Row, chunk []storage.OID, vals []object.Value) []algebra.Row {
+func (o *hashJoinOp) merge(dst *RowBatch, chunk []storage.OID, vals []object.Value) {
 	for i, ref := range chunk {
-		for _, lrow := range o.partitions[ref] {
-			for _, rrow := range o.rightBy[ref] {
-				merged := lrow.Merged(rrow)
-				rb := merged.Vars[o.rightVar]
-				rb.Val = vals[i]
-				merged.Vars[o.rightVar] = rb
-				dst = append(dst, merged)
+		for _, li := range o.partitions[ref] {
+			for _, ri := range o.rightBy[ref] {
+				row := dst.add()
+				o.leftRows.put(row, li)
+				o.rightRows.put(row, ri)
+				row[o.rightSlot].Val = vals[i]
 			}
 		}
 	}
-	return dst
 }
 
 // tasks runs the build (Open's) and splits the probe into page-aligned
 // chunks of all sorted refs, each then filtered to the right side's hits; a
 // worker dereferences a chunk in one page-ordered batch and merges it as
-// produce does, against the shared read-only partition and right-side maps.
+// produce does, against the shared read-only partitions and right rows.
 func (o *hashJoinOp) tasks() (taskSet, error) {
 	refs, err := o.build()
 	if err != nil {
@@ -1405,12 +1646,13 @@ func (o *hashJoinOp) tasks() (taskSet, error) {
 	return taskSet{
 		n:       len(chunks),
 		preload: func(t int, p *storage.Preload) error { return o.alg.Cat.PreloadObjects(p, chunks[t]) },
-		run: func(_ *algebra.RowEvaluator, t int) ([]algebra.Row, int, error) {
+		run: func(_ *algebra.RowEvaluator, t int, out *RowBatch) (int, error) {
 			vals, _, err := o.alg.Cat.GetObjects(chunks[t])
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			return o.merge(nil, chunks[t], vals), len(chunks[t]), nil
+			o.merge(out, chunks[t], vals)
+			return len(chunks[t]), nil
 		},
 	}, nil
 }
@@ -1450,7 +1692,8 @@ type fusionJoinOp struct {
 	resolve object.Resolver
 
 	allowed    map[string]bool // class names the right bind admits
-	partitions map[storage.OID][]algebra.Row
+	leftRows   *packed
+	partitions map[storage.OID][]int
 	refs       []storage.OID // sorted, every distinct referent
 	ri         int
 }
@@ -1461,11 +1704,10 @@ func (o *fusionJoinOp) Open() error {
 	if o.allowed, err = bindClasses(o.alg.Cat, o.bind.Class, o.bind.Every, o.bind.Minus); err != nil {
 		return err
 	}
-	lc, err := o.left.drain()
-	if err != nil {
+	if o.leftRows, err = o.left.drainRows(); err != nil {
 		return err
 	}
-	o.partitions, err = partitionByRef(o.alg, lc, o.leftVar, o.attr)
+	o.partitions, err = partitionByRef(o.alg, o.leftRows, o.leftSlot, o.attr)
 	if err != nil {
 		return err
 	}
@@ -1489,14 +1731,9 @@ func (o *fusionJoinOp) produce() (bool, error) {
 		if !o.allowed[names[i]] {
 			continue
 		}
-		rrow := algebra.Row{Vars: map[string]algebra.Bound{o.rightVar: {OID: ref, Val: vals[i]}}}
+		rb := algebra.Bound{OID: ref, Val: vals[i]}
 		if o.pred != nil {
-			var keep bool
-			if o.predFn != nil {
-				keep, err = o.predFn(&vals[i], ref, o.resolve)
-			} else {
-				keep, err = o.re.EvalBool(rrow, o.pred)
-			}
+			keep, err := o.keep(rb)
 			if err != nil {
 				return false, err
 			}
@@ -1504,11 +1741,25 @@ func (o *fusionJoinOp) produce() (bool, error) {
 				continue
 			}
 		}
-		for _, lrow := range o.partitions[ref] {
-			o.pending = append(o.pending, lrow.Merged(rrow))
+		for _, li := range o.partitions[ref] {
+			row := o.pending.add()
+			o.leftRows.put(row, li)
+			row[o.rightSlot] = rb
 		}
 	}
 	return true, nil
+}
+
+// keep runs the absorbed bind's predicate on a fetched referent.
+func (o *fusionJoinOp) keep(rb algebra.Bound) (bool, error) {
+	if o.predFn != nil {
+		return o.predFn(&rb.Val, rb.OID, o.resolve)
+	}
+	env, err := o.re.BindOne(o.rightSlot, rb)
+	if err != nil {
+		return false, err
+	}
+	return expr.EvalBool(o.pred, env)
 }
 
 func (o *fusionJoinOp) compiledPredicate() (active, full bool) {
@@ -1529,40 +1780,41 @@ func (o *fusionJoinOp) accessPath() string   { return "fusion" }
 // (inner side), the left streams as the outer side.
 type crossOp struct {
 	left, right *compiled
-	rightRows   []algebra.Row
+	rightRows   *packed
 	lbuf        RowBatch // outer rows pulled and not yet fully expanded
-	ln, li, ri  int      // lbuf.Rows[li:ln] pending; ri indexes rightRows
+	ln, li, ri  int      // lbuf rows li..ln-1 pending; ri indexes rightRows
 }
 
 func (o *crossOp) Open() error {
-	rc, err := o.right.drain()
-	if err != nil {
+	var err error
+	if o.rightRows, err = o.right.drainRows(); err != nil {
 		return err
 	}
-	o.rightRows = rc.Rows
 	return o.left.op.Open()
 }
 
 // NextBatch expands outer rows against the inner side, pulling exactly the
 // outer rows the rest of b can hold (the last one perhaps only partly).
 func (o *crossOp) NextBatch(b *RowBatch) (int, error) {
-	n := 0
-	for n < len(b.Rows) {
-		if o.li < o.ln && len(o.rightRows) > 0 {
-			lrow := o.lbuf.Rows[o.li]
-			for o.ri < len(o.rightRows) && n < len(b.Rows) {
-				b.Rows[n] = lrow.Merged(o.rightRows[o.ri])
+	n, nr := 0, o.rightRows.Len()
+	for n < b.Len() {
+		if o.li < o.ln && nr > 0 {
+			lrow := o.lbuf.Row(o.li)
+			for o.ri < nr && n < b.Len() {
+				row := b.Row(n)
+				copy(row, lrow)
+				o.rightRows.put(row, o.ri)
 				n++
 				o.ri++
 			}
-			if o.ri == len(o.rightRows) {
+			if o.ri == nr {
 				o.li, o.ri = o.li+1, 0
 			}
 			continue
 		}
-		need := len(b.Rows) - n
-		if r := len(o.rightRows); r > 0 {
-			need = (need + r - 1) / r
+		need := b.Len() - n
+		if nr > 0 {
+			need = (need + nr - 1) / nr
 		}
 		k, err := o.left.op.NextBatch(o.lbuf.sized(need))
 		if err != nil {
@@ -1586,14 +1838,17 @@ func (o *crossOp) Close() error {
 
 // unionOp concatenates its children's streams lazily (a child is opened
 // only when the previous one is exhausted), deduplicating on the query's
-// FROM-clause variables exactly as the materializing UNION does.
+// FROM-clause variables exactly as the materializing UNION does. A child's
+// row leaves unbound the slots of variables only other children bind.
 type unionOp struct {
-	kids   []*compiled
-	vars   []string
-	ki     int
-	opened bool
-	seen   map[string]bool
-	sub    RowBatch
+	kids     []*compiled
+	unbind   [][]int // per child: the union's slots the child does not bind
+	keySlots []int   // the FROM-clause variables' slots
+	ki       int
+	opened   bool
+	seen     map[string]bool
+	key      []byte
+	sub      RowBatch
 }
 
 func (o *unionOp) Open() error {
@@ -1606,9 +1861,9 @@ func (o *unionOp) Open() error {
 // rows not seen before, so no child is read past what b can hold.
 func (o *unionOp) NextBatch(b *RowBatch) (int, error) {
 	n := 0
-	for n < len(b.Rows) && o.ki < len(o.kids) {
-		o.sub.Rows = b.Rows[n:]
-		k, err := o.kids[o.ki].op.NextBatch(&o.sub)
+	for n < b.Len() && o.ki < len(o.kids) {
+		base := n
+		k, err := o.kids[o.ki].op.NextBatch(o.sub.tail(b, base))
 		if err != nil {
 			return 0, err
 		}
@@ -1624,16 +1879,22 @@ func (o *unionOp) NextBatch(b *RowBatch) (int, error) {
 			}
 			continue
 		}
-		for _, row := range o.sub.Rows[:k] {
-			key := ""
-			for _, v := range o.vars {
-				key += fmt.Sprintf("%s=%d;", v, row.Vars[v].OID)
+		for i := 0; i < k; i++ {
+			row := b.Row(base + i)
+			for _, s := range o.unbind[o.ki] {
+				row[s] = algebra.Bound{}
 			}
-			if o.seen[key] {
+			o.key = o.key[:0]
+			for _, s := range o.keySlots {
+				o.key = binary.LittleEndian.AppendUint64(o.key, uint64(row[s].OID))
+			}
+			if o.seen[string(o.key)] {
 				continue
 			}
-			o.seen[key] = true
-			b.Rows[n] = row
+			o.seen[string(o.key)] = true
+			if n != base+i {
+				copy(b.Row(n), row)
+			}
 			n++
 		}
 	}

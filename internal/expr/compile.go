@@ -21,7 +21,9 @@ import (
 // Two shapes are produced:
 //
 //   - Fn/BoolFn close over an *Env, a drop-in for tree evaluation anywhere
-//     an environment is already bound. Every node kind lowers; a node the
+//     an environment is already bound. Compiled against a row layout, a
+//     variable reference becomes a slot index, so the executor binds a row
+//     by pointing the Env at it. Every node kind lowers; a node the
 //     compiler does not understand (method calls, future extensions) falls
 //     back to its own Eval, and the returned flag reports whether the whole
 //     tree lowered ("fully compiled").
@@ -90,17 +92,45 @@ type PredFn func(self *object.Value, selfOID storage.OID, resolve object.Resolve
 // Compile lowers e into a closure. The returned flag is true when every
 // node lowered; false means at least one subtree runs through the
 // interpreter (the closure is still always valid and semantically exact).
-func Compile(e Expr) (Fn, bool) {
+//
+// slots, when non-nil, is the row layout the closure will run against: a
+// variable it names is read straight from that slot of env.Row, with no
+// lookup by name, and must then be evaluated against an Env whose Row has
+// that layout and whose Vars are empty. A variable slots does not name,
+// and every variable when slots is nil, is looked up by name.
+func Compile(e Expr, slots map[string]int) (Fn, bool) {
 	switch n := e.(type) {
 	case *Const:
 		v := n.Val
 		return func(*Env) (object.Value, error) { return v, nil }, true
 
 	case *Var:
+		if i, ok := slots[n.Name]; ok {
+			return func(env *Env) (object.Value, error) {
+				b := &env.Row[i]
+				if b.Unbound() {
+					return object.Null, errUnbound(n.Name)
+				}
+				return b.Val, nil
+			}, true
+		}
 		return func(env *Env) (object.Value, error) { return n.Eval(env) }, true
 
 	case *Field:
-		base, ok := Compile(n.Base)
+		if v, isVar := n.Base.(*Var); isVar {
+			if i, ok := slots[v.Name]; ok {
+				// Project straight off the slot, without copying the
+				// bound value out first.
+				return func(env *Env) (object.Value, error) {
+					b := &env.Row[i]
+					if b.Unbound() {
+						return object.Null, errUnbound(v.Name)
+					}
+					return projectField(&b.Val, n.Name, env.Resolve, n)
+				}, true
+			}
+		}
+		base, ok := Compile(n.Base, slots)
 		return func(env *Env) (object.Value, error) {
 			b, err := base(env)
 			if err != nil {
@@ -114,8 +144,8 @@ func Compile(e Expr) (Fn, bool) {
 		}, ok
 
 	case *Cmp:
-		lf, lok := Compile(n.L)
-		rf, rok := Compile(n.R)
+		lf, lok := Compile(n.L, slots)
+		rf, rok := Compile(n.R, slots)
 		op := n.Op
 		return func(env *Env) (object.Value, error) {
 			l, err := lf(env)
@@ -130,11 +160,11 @@ func Compile(e Expr) (Fn, bool) {
 		}, lok && rok
 
 	case *Between:
-		return Compile(n.desugar())
+		return Compile(n.desugar(), slots)
 
 	case *Logic:
-		lf, lok := Compile(n.L)
-		rf, rok := Compile(n.R)
+		lf, lok := Compile(n.L, slots)
+		rf, rok := Compile(n.R, slots)
 		op := n.Op
 		return func(env *Env) (object.Value, error) {
 			lv, err := lf(env)
@@ -156,7 +186,7 @@ func Compile(e Expr) (Fn, bool) {
 		}, lok && rok
 
 	case *Not:
-		f, ok := Compile(n.E)
+		f, ok := Compile(n.E, slots)
 		return func(env *Env) (object.Value, error) {
 			v, err := f(env)
 			if err != nil {
@@ -166,8 +196,8 @@ func Compile(e Expr) (Fn, bool) {
 		}, ok
 
 	case *Arith:
-		lf, lok := Compile(n.L)
-		rf, rok := Compile(n.R)
+		lf, lok := Compile(n.L, slots)
+		rf, rok := Compile(n.R, slots)
 		op := n.Op
 		return func(env *Env) (object.Value, error) {
 			l, err := lf(env)
@@ -182,7 +212,7 @@ func Compile(e Expr) (Fn, bool) {
 		}, lok && rok
 
 	case *Neg:
-		f, ok := Compile(n.E)
+		f, ok := Compile(n.E, slots)
 		return func(env *Env) (object.Value, error) {
 			v, err := f(env)
 			if err != nil {
@@ -197,9 +227,9 @@ func Compile(e Expr) (Fn, bool) {
 }
 
 // CompileBool lowers a predicate, coercing the result to bool exactly as
-// EvalBool does.
-func CompileBool(e Expr) (BoolFn, bool) {
-	fn, ok := Compile(e)
+// EvalBool does. slots is as for Compile.
+func CompileBool(e Expr, slots map[string]int) (BoolFn, bool) {
+	fn, ok := Compile(e, slots)
 	return func(env *Env) (bool, error) {
 		v, err := fn(env)
 		if err != nil {

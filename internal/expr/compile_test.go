@@ -121,7 +121,7 @@ func compileCases() []struct {
 func TestCompileMatchesInterpreter(t *testing.T) {
 	for _, tc := range compileCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			fn, full := Compile(tc.e)
+			fn, full := Compile(tc.e, nil)
 			if full != tc.full {
 				t.Fatalf("Compile full=%v, want %v", full, tc.full)
 			}
@@ -134,7 +134,7 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 				t.Fatalf("value mismatch: interpreter %v, compiled %v", wantV, gotV)
 			}
 
-			bf, _ := CompileBool(tc.e)
+			bf, _ := CompileBool(tc.e, nil)
 			wantB, wantErr := EvalBool(tc.e, testEnv())
 			gotB, gotErr := bf(testEnv())
 			if !sameErr(wantErr, gotErr) || wantB != gotB {
@@ -216,7 +216,7 @@ func TestBetweenEvaluatesOperandTwice(t *testing.T) {
 		t.Fatalf("interpreter evaluated BETWEEN operand %d times, want 2", count)
 	}
 	count = 0
-	fn, full := Compile(e)
+	fn, full := Compile(e, nil)
 	if full {
 		t.Fatal("countingExpr should force the fallback flag off")
 	}

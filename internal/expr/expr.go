@@ -31,14 +31,42 @@ var (
 	ErrNoSuchAttr = errors.New("expr: no such attribute")
 )
 
+// Binding is one range variable's binding in a row vector: the bound
+// object's identifier and, when materialized, its value. Set and List rows
+// carry the identifier only. The zero Binding binds nothing: every real
+// binding has an identifier or a value.
+type Binding struct {
+	OID storage.OID
+	Val object.Value
+}
+
+// Unbound reports whether b is the zero Binding.
+func (b *Binding) Unbound() bool { return b.OID.IsNil() && b.Val.IsNull() }
+
 // Env supplies the bindings and services an expression needs: range-variable
 // values, reference resolution (for path traversal), and method invocation
 // (for parameterless-method predicates and method calls).
+//
+// Bindings come by name (Vars, OIDs) or as a row vector (Row, with Slots
+// naming the slot each variable occupies). A closure compiled against a
+// slot map (Compile) reads its variables' slots directly; the interpreter
+// looks a name up in Vars first, then in Slots. An unbound slot (the zero
+// Binding) reads as an unbound variable.
 type Env struct {
 	Vars    map[string]object.Value
 	OIDs    map[string]storage.OID // the OID bound to each range variable, if any
+	Row     []Binding
+	Slots   map[string]int
 	Resolve object.Resolver
 	Invoke  func(self object.Value, selfOID storage.OID, method string, args []object.Value) (object.Value, error)
+}
+
+// slot returns the row binding of a variable, nil when it has none.
+func (e *Env) slot(name string) *Binding {
+	if i, ok := e.Slots[name]; ok && !e.Row[i].Unbound() {
+		return &e.Row[i]
+	}
+	return nil
 }
 
 // Bind returns a copy of the environment with the variable bound.
@@ -86,15 +114,18 @@ type Var struct{ Name string }
 
 // Eval looks the variable up in the environment.
 func (v *Var) Eval(env *Env) (object.Value, error) {
-	if env == nil || env.Vars == nil {
-		return object.Null, fmt.Errorf("%w: %s", ErrUnbound, v.Name)
+	if env != nil {
+		if val, ok := env.Vars[v.Name]; ok {
+			return val, nil
+		}
+		if b := env.slot(v.Name); b != nil {
+			return b.Val, nil
+		}
 	}
-	val, ok := env.Vars[v.Name]
-	if !ok {
-		return object.Null, fmt.Errorf("%w: %s", ErrUnbound, v.Name)
-	}
-	return val, nil
+	return object.Null, errUnbound(v.Name)
 }
+
+func errUnbound(name string) error { return fmt.Errorf("%w: %s", ErrUnbound, name) }
 
 func (v *Var) String() string { return v.Name }
 
@@ -197,8 +228,12 @@ func (c *Call) Eval(env *Env) (object.Value, error) {
 				return object.Null, err
 			}
 		}
-	} else if v, ok := c.Base.(*Var); ok && env.OIDs != nil {
-		selfOID = env.OIDs[v.Name]
+	} else if v, ok := c.Base.(*Var); ok {
+		if env.OIDs != nil {
+			selfOID = env.OIDs[v.Name]
+		} else if b := env.slot(v.Name); b != nil {
+			selfOID = b.OID
+		}
 	}
 	args := make([]object.Value, len(c.Args))
 	for i, a := range c.Args {

@@ -47,7 +47,7 @@ func FuzzCompile(f *testing.F) {
 		}
 
 		wantV, wantErr := e.Eval(env())
-		fn, _ := Compile(e)
+		fn, _ := Compile(e, nil)
 		gotV, gotErr := fn(env())
 		if !sameErr(wantErr, gotErr) {
 			t.Fatalf("expr %s: interpreter err %v, compiled err %v", e, wantErr, gotErr)
@@ -57,10 +57,31 @@ func FuzzCompile(f *testing.F) {
 		}
 
 		wantB, wantBErr := EvalBool(e, env())
-		bf, _ := CompileBool(e)
+		bf, _ := CompileBool(e, nil)
 		gotB, gotBErr := bf(env())
 		if !sameErr(wantBErr, gotBErr) || wantB != gotB {
 			t.Fatalf("expr %s: interpreter bool (%v,%v), compiled (%v,%v)", e, wantB, wantBErr, gotB, gotBErr)
+		}
+
+		// The row-vector form: v in slot 1 of a two-slot row whose slot 0
+		// binds nothing. Compiled against the layout, the closures agree
+		// with the interpreter over the same row, and with the by-name
+		// environment whenever v's binding is not the zero one (the
+		// executor never binds a variable to it).
+		slots := map[string]int{"w": 0, "v": 1}
+		row := &Env{Row: []Binding{{}, {OID: oid, Val: self}}, Slots: slots, Resolve: resolve}
+		slotFn, _ := Compile(e, slots)
+		sv, sErr := slotFn(row)
+		iv, iErr := e.Eval(row)
+		if !sameErr(iErr, sErr) || (iErr == nil && !reflect.DeepEqual(iv, sv)) {
+			t.Fatalf("expr %s: interpreter over the row (%v,%v), slot-compiled (%v,%v)", e, iv, iErr, sv, sErr)
+		}
+		if !row.Row[1].Unbound() && (!sameErr(wantErr, sErr) || (wantErr == nil && !reflect.DeepEqual(wantV, sv))) {
+			t.Fatalf("expr %s: by name (%v,%v), slot-compiled (%v,%v)", e, wantV, wantErr, sv, sErr)
+		}
+		sbf, _ := CompileBool(e, slots)
+		if sb, sbErr := sbf(row); !row.Row[1].Unbound() && (!sameErr(wantBErr, sbErr) || wantB != sb) {
+			t.Fatalf("expr %s: by-name bool (%v,%v), slot-compiled (%v,%v)", e, wantB, wantBErr, sb, sbErr)
 		}
 
 		pf, ok := CompilePredicate(e, "v")

@@ -1,6 +1,9 @@
 package funcmgr
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 
 	"mood/internal/expr"
@@ -57,7 +60,7 @@ func NewQueryRegistry() *QueryRegistry {
 
 // resolve returns the compiled entry for the signature, lowering and
 // registering it on first use.
-func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
+func (r *QueryRegistry) resolve(key, varName string, e expr.Expr, slots map[string]int) *queryFn {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	q, ok := r.fns[key]
@@ -66,8 +69,8 @@ func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
 			delete(r.old, key)
 		} else {
 			q = &queryFn{}
-			q.boolFn, q.full = expr.CompileBool(e)
-			q.fn, _ = expr.Compile(e)
+			q.boolFn, q.full = expr.CompileBool(e, slots)
+			q.fn, _ = expr.Compile(e, slots)
 			if varName != "" {
 				if q.pred, _ = expr.CompilePredicate(e, varName); q.pred != nil {
 					q.attrs, _ = expr.SelfAttrs(e, varName)
@@ -99,22 +102,39 @@ func (r *QueryRegistry) resolve(key, varName string, e expr.Expr) *queryFn {
 // pass. attrs is nil when pred is, when pred may read the whole object, or
 // when it reads no attribute at all; the scan then decodes every object.
 func (r *QueryRegistry) Predicate(varName string, e expr.Expr) (pred expr.PredFn, attrs []string) {
-	q := r.resolve("pred:"+varName+"\x00"+expr.Signature(e), varName, e)
+	q := r.resolve("pred:"+varName+"\x00"+expr.Signature(e), varName, e, nil)
 	return q.pred, q.attrs
 }
 
-// BoolFn resolves the environment-mode compiled predicate. The closure is
+// BoolFn resolves the environment-mode compiled predicate, its variables
+// resolved to the row slots slots names (see expr.Compile). The closure is
 // always valid; full reports whether every node lowered (false means some
 // subtree interprets).
-func (r *QueryRegistry) BoolFn(e expr.Expr) (fn expr.BoolFn, full bool) {
-	q := r.resolve("bool:\x00"+expr.Signature(e), "", e)
+func (r *QueryRegistry) BoolFn(e expr.Expr, slots map[string]int) (fn expr.BoolFn, full bool) {
+	q := r.resolve("bool:"+slotsKey(slots)+"\x00"+expr.Signature(e), "", e, slots)
 	return q.boolFn, q.full
 }
 
-// Fn resolves the environment-mode compiled expression (projections).
-func (r *QueryRegistry) Fn(e expr.Expr) (fn expr.Fn, full bool) {
-	q := r.resolve("expr:\x00"+expr.Signature(e), "", e)
+// Fn resolves the environment-mode compiled expression (projections), as
+// BoolFn.
+func (r *QueryRegistry) Fn(e expr.Expr, slots map[string]int) (fn expr.Fn, full bool) {
+	q := r.resolve("expr:"+slotsKey(slots)+"\x00"+expr.Signature(e), "", e, slots)
 	return q.fn, q.full
+}
+
+// slotsKey renders a slot layout for the signature: a closure compiled
+// against one layout reads the wrong slots under another.
+func slotsKey(slots map[string]int) string {
+	names := make([]string, 0, len(slots))
+	for name := range slots {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&sb, "%s=%d;", name, slots[name])
+	}
+	return sb.String()
 }
 
 // QueryStats returns (compilations, resolutions, fallbacks): distinct

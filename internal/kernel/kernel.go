@@ -751,11 +751,7 @@ func (db *DB) execSelect(n *sql.Select) (*Result, error) {
 func (db *DB) execute(plan optimizer.Plan) (*Result, error) {
 	db.holdMoves()
 	defer db.releaseMoves()
-	coll, err := db.Exec.Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Extract(coll), nil
+	return db.Exec.ExecuteResult(plan)
 }
 
 // holdMoves and releaseMoves bracket a read that must not span a record

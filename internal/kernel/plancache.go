@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mood/internal/exec"
 	"mood/internal/object"
 	"mood/internal/optimizer"
 	"mood/internal/sql"
@@ -142,11 +141,8 @@ func (db *DB) executeCached(statement string) (*Result, bool, error) {
 	explain := db.LastExplain
 	db.lastMu.Unlock()
 	db.plans.store(shape, plan, explain, len(params), epoch)
-	coll, err := db.Exec.Execute(plan)
-	if err != nil {
-		return nil, true, err
-	}
-	return exec.Extract(coll), true, nil
+	res, err := db.Exec.ExecuteResult(plan)
+	return res, true, err
 }
 
 // Prepared is a statement compiled once and executable many times with fresh
@@ -209,9 +205,5 @@ func (p *Prepared) Query(params ...object.Value) (*Result, error) {
 		p.db.plans.hits.Add(1)
 	}
 	plan := optimizer.Bind(ent.plan, params)
-	coll, err := p.db.Exec.Execute(plan)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Extract(coll), nil
+	return p.db.Exec.ExecuteResult(plan)
 }

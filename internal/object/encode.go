@@ -81,8 +81,31 @@ func Unmarshal(data []byte) (Value, error) {
 	return v, nil
 }
 
+// UnmarshalNamed is Unmarshal against a name table: when data holds a tuple
+// whose i-th stored attribute name equals names[i], the decoded tuple holds
+// the table's string instead of a fresh copy of the stored bytes. A class's
+// catalog attribute list is such a table, since objects are stored in its
+// order; a name that differs (an object stored under another layout) is
+// allocated as Unmarshal would. Nested tuples allocate their names. The
+// result equals Unmarshal's, and it fails on the same records.
+func UnmarshalNamed(data []byte, names []string) (Value, error) {
+	unmarshals.Add(1)
+	v, rest, err := decode(data, names)
+	if err != nil {
+		return Null, err
+	}
+	if len(rest) != 0 {
+		return Null, fmt.Errorf("object: %d trailing bytes after value", len(rest))
+	}
+	return v, nil
+}
+
 // Decode decodes one value from the front of data, returning the remainder.
-func Decode(data []byte) (Value, []byte, error) {
+func Decode(data []byte) (Value, []byte, error) { return decode(data, nil) }
+
+// decode is Decode with a name table for the top-level tuple's attribute
+// names (see UnmarshalNamed).
+func decode(data []byte, names []string) (Value, []byte, error) {
 	if len(data) == 0 {
 		return Null, nil, fmt.Errorf("object: empty input")
 	}
@@ -161,7 +184,12 @@ func Decode(data []byte) (Value, []byte, error) {
 			if nsz <= 0 || uint64(len(data)-nsz) < nl {
 				return Null, nil, fmt.Errorf("object: truncated field name")
 			}
-			name := string(data[nsz : nsz+int(nl)])
+			var name string
+			if stored := data[nsz : nsz+int(nl)]; i < uint64(len(names)) && string(stored) == names[i] {
+				name = names[i]
+			} else {
+				name = string(stored)
+			}
 			data = data[nsz+int(nl):]
 			var f Value
 			var err error

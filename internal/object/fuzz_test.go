@@ -11,12 +11,13 @@ import (
 // for; the first input byte picks a subset of them as a bit mask.
 var fuzzNames = [...]string{"name", "weight", "ref", "tags", ""}
 
-// FuzzDecode feeds arbitrary bytes to the three record readers and holds
+// FuzzDecode feeds arbitrary bytes to the four record readers and holds
 // them to one another: none may panic, all fail on the same inputs with the
-// same error, Skip consumes exactly the bytes Decode consumes, and
+// same error, Skip consumes exactly the bytes Decode consumes,
 // decodeFields yields the full value filtered to the wanted top-level
 // attributes (the whole value when it is not a tuple), also when its
-// destination still holds an earlier record. Values are compared by their
+// destination still holds an earlier record, and UnmarshalNamed yields the
+// full value whatever name table it is given. Values are compared by their
 // encoding, which is exact for NaN floats where reflect.DeepEqual is not.
 //
 // Run bounded via `make fuzz`; the checked-in corpus under
@@ -72,7 +73,23 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("decodeFields(%q) = %v, want %v", names, *dst, want)
 			}
 		}
-		_, _ = Unmarshal(data)
+		// The named decoder agrees with the full one whichever name table
+		// it is handed: the picked subset (usually not the stored order),
+		// and the stored names themselves.
+		whole, uerr := Unmarshal(data)
+		tables := [][]string{names}
+		if uerr == nil && whole.Kind == KindTuple {
+			tables = append(tables, whole.Names)
+		}
+		for _, table := range tables {
+			named, nerr := UnmarshalNamed(data, table)
+			if !sameError(uerr, nerr) {
+				t.Fatalf("Unmarshal err %v, UnmarshalNamed(%q) err %v", uerr, table, nerr)
+			}
+			if uerr == nil && !bytes.Equal(Marshal(named), Marshal(whole)) {
+				t.Fatalf("UnmarshalNamed(%q) = %v, want %v", table, named, whole)
+			}
+		}
 		var dst Value
 		_ = UnmarshalFields(data, names, &dst)
 	})

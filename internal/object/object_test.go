@@ -3,8 +3,10 @@ package object
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mood/internal/storage"
 )
@@ -341,5 +343,31 @@ func TestEqualSymmetricProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnmarshalNamedReusesTable: attribute names that match the table are
+// the table's strings, a mismatched one is a copy of the stored bytes, and
+// reusing the table saves one allocation per matched name.
+func TestUnmarshalNamedReusesTable(t *testing.T) {
+	v := NewTuple([]string{"name", "weight", "color"}, []Value{NewString("BMW"), NewInt(1500), NewString("red")})
+	data := Marshal(v)
+	table := []string{"name", "weight", "colour"}
+	got, err := UnmarshalNamed(data, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, v) {
+		t.Fatalf("UnmarshalNamed = %v, want %v", got, v)
+	}
+	for i, same := range []bool{true, true, false} {
+		if (unsafe.StringData(got.Names[i]) == unsafe.StringData(table[i])) != same {
+			t.Errorf("name %d shares the table's string: %v, want %v", i, !same, same)
+		}
+	}
+	full := testing.AllocsPerRun(50, func() { _, _ = Unmarshal(data) })
+	named := testing.AllocsPerRun(50, func() { _, _ = UnmarshalNamed(data, table) })
+	if named != full-2 {
+		t.Errorf("UnmarshalNamed allocates %v, Unmarshal %v; want two fewer", named, full)
 	}
 }

@@ -734,36 +734,79 @@ func isAccessed(p Plan) bool {
 
 // collectVars gathers every range variable a plan binds.
 func collectVars(p Plan, into map[string]bool) {
+	walkVars(p, func(v string) { into[v] = true })
+}
+
+// walkVars calls fn with every range variable a plan binds, in plan order
+// (left before right, inputs in order); a variable bound by several
+// subplans, as a union's terms bind the FROM variables, comes once per
+// binding.
+func walkVars(p Plan, fn func(string)) {
 	switch n := p.(type) {
 	case *BindPlan:
-		into[n.Var] = true
+		fn(n.Var)
 	case *IndSelPlan:
-		into[n.Var] = true
+		fn(n.Var)
 	case *SelectPlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	case *IntersectPlan:
 		for _, in := range n.Inputs {
-			collectVars(in, into)
+			walkVars(in, fn)
 		}
 	case *JoinPlan:
-		collectVars(n.Left, into)
-		collectVars(n.Right, into)
+		walkVars(n.Left, fn)
+		walkVars(n.Right, fn)
 	case *CrossPlan:
-		collectVars(n.Left, into)
-		collectVars(n.Right, into)
+		walkVars(n.Left, fn)
+		walkVars(n.Right, fn)
 	case *ProjectPlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	case *GroupPlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	case *SortPlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	case *UnionPlan:
 		for _, in := range n.Inputs {
-			collectVars(in, into)
+			walkVars(in, fn)
 		}
 	case *DupElimPlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	case *ExchangePlan:
-		collectVars(n.Input, into)
+		walkVars(n.Input, fn)
 	}
+}
+
+// Layout is a plan's row layout: every range variable the plan binds gets
+// one slot of the executor's row vectors, fixed when the plan is compiled,
+// so operators and compiled expressions address a binding by index rather
+// than by name. Slots follow plan order.
+type Layout struct {
+	Names []string       // slot → variable
+	slots map[string]int // variable → slot
+}
+
+// NewLayout lays out the variables p binds, then extra (names the executor
+// binds beyond the plan's range variables, such as its projection result).
+func NewLayout(p Plan, extra ...string) *Layout {
+	l := &Layout{slots: map[string]int{}}
+	add := func(v string) {
+		if _, ok := l.slots[v]; !ok {
+			l.slots[v] = len(l.Names)
+			l.Names = append(l.Names, v)
+		}
+	}
+	walkVars(p, add)
+	for _, v := range extra {
+		add(v)
+	}
+	return l
+}
+
+// Width is the number of slots in a row.
+func (l *Layout) Width() int { return len(l.Names) }
+
+// Slot returns the slot of a variable.
+func (l *Layout) Slot(v string) (int, bool) {
+	s, ok := l.slots[v]
+	return s, ok
 }

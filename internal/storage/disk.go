@@ -305,7 +305,7 @@ func (d *DiskSim) wallFor(us int64) time.Duration {
 // when latency emulation is on. Never called with locks held.
 func (d *DiskSim) emulate(us int64) {
 	if w := d.wallFor(us); w > 0 {
-		time.Sleep(w)
+		waitFor(w)
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Slotted-page layout.
@@ -100,25 +101,29 @@ func (p *Page) NumSlots() int { return int(p.u16(offNumSlots)) }
 // FreeSpace returns the number of bytes available for a new record,
 // accounting for the slot entry it would need.
 func (p *Page) FreeSpace() int {
-	free := p.slotDirStart() - int(p.u16(offFreeStart)) - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
+	return max(p.gap()-slotSize, 0)
 }
 
 // FreeSpaceAfterCompaction additionally counts the holes left by deleted or
-// shrunk records, which Compact can reclaim.
+// shrunk records, which Compact can reclaim. The sum is taken over the
+// unclamped gap: a gap narrower than a slot entry would otherwise be
+// counted as zero and the holes would overstate the room by up to a slot.
 func (p *Page) FreeSpaceAfterCompaction() int {
-	return p.FreeSpace() + int(p.u16(offFreeBytes))
+	return max(p.gap()-slotSize+int(p.u16(offFreeBytes)), 0)
 }
+
+// gap is the byte count between the end of the records and the start of
+// the slot directory.
+func (p *Page) gap() int { return p.slotDirStart() - int(p.u16(offFreeStart)) }
 
 // Insert stores rec in the page and returns its slot. It fails with
 // ErrPageFull if the record cannot fit even after compaction.
 func (p *Page) Insert(rec []byte) (SlotID, error) {
+	// The room is compared unclamped: even an empty record needs its slot
+	// entry.
 	need := len(rec)
-	if need > p.FreeSpace() {
-		if need > p.FreeSpaceAfterCompaction() {
+	if room := p.gap() - slotSize; need > room {
+		if need > room+int(p.u16(offFreeBytes)) {
 			return 0, ErrPageFull
 		}
 		p.Compact()
@@ -192,8 +197,8 @@ func (p *Page) Update(slot SlotID, rec []byte) error {
 	}
 	// Relocate within the page.
 	need := len(rec)
-	if need > p.FreeSpace()+slotSize { // slot already exists; no new slot needed
-		if need > p.FreeSpaceAfterCompaction()+slotSize {
+	if need > p.gap() { // slot already exists; no new slot needed
+		if need > p.gap()+int(p.u16(offFreeBytes)) {
 			return ErrPageFull
 		}
 		p.setSlot(int(slot), 0, 0)
@@ -270,6 +275,44 @@ func (p *Page) LiveRecords() int {
 		}
 	}
 	return n
+}
+
+// CheckLayout verifies the slotted-page invariants: the records end at or
+// before the slot directory, every live record lies inside the record area
+// [header, freeStart) without overlapping another, and the hole count
+// equals the record area's bytes not held by a live record.
+func (p *Page) CheckLayout() error {
+	freeStart, dir := int(p.u16(offFreeStart)), p.slotDirStart()
+	if freeStart < pageHeaderSize || freeStart > dir {
+		return fmt.Errorf("storage: page %d: freeStart %d outside [%d, %d]", p.ID, freeStart, pageHeaderSize, dir)
+	}
+	type extent struct{ off, end, slot int }
+	var live []extent
+	held := 0
+	for i := 0; i < p.NumSlots(); i++ {
+		off := p.slotOffset(i)
+		if off == 0 {
+			continue
+		}
+		end := off + p.slotLength(i)
+		if off < pageHeaderSize || end > freeStart {
+			return fmt.Errorf("storage: page %d: slot %d record [%d, %d) outside [%d, %d)", p.ID, i, off, end, pageHeaderSize, freeStart)
+		}
+		if end > off { // an empty record holds no bytes to overlap
+			live = append(live, extent{off, end, i})
+			held += end - off
+		}
+	}
+	slices.SortFunc(live, func(a, b extent) int { return a.off - b.off })
+	for i := 1; i < len(live); i++ {
+		if live[i].off < live[i-1].end {
+			return fmt.Errorf("storage: page %d: slots %d and %d overlap", p.ID, live[i-1].slot, live[i].slot)
+		}
+	}
+	if holes := int(p.u16(offFreeBytes)); holes != freeStart-pageHeaderSize-held {
+		return fmt.Errorf("storage: page %d: %d hole bytes recorded, %d in the record area", p.ID, holes, freeStart-pageHeaderSize-held)
+	}
+	return nil
 }
 
 func (p *Page) slotDirStart() int { return len(p.buf) - p.NumSlots()*slotSize }

@@ -30,7 +30,7 @@ type preloadPin struct {
 // unless latency emulation is on) and clears the debt.
 func (p *Preload) Wait() {
 	if p.owed > 0 {
-		time.Sleep(p.owed)
+		waitFor(p.owed)
 		p.owed = 0
 	}
 }
